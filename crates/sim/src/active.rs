@@ -37,10 +37,8 @@
 //! stream may differ (sort both streams to compare).
 
 use crate::engine::{SimError, TileStats, VerifyMode};
-use crate::epoch::{epoch_spec, Epoch, EpochReport, EpochRunner, RunReport};
-use cgra_fabric::{
-    CostModel, FabricError, LinkConfig, Mesh, ReconfigPlan, Tile, TileId, TileReconfig, Word,
-};
+use crate::epoch::{epoch_spec, gate, payloads, Epoch, EpochReport, EpochRunner, RunReport};
+use cgra_fabric::{CostModel, FabricError, LinkConfig, Mesh, Tile, TileId, Word};
 use cgra_isa::{decode, encode_program, step_decoded, ExecError, Instr, PeState, StepEffect};
 use cgra_telemetry::{Event, SegState};
 use cgra_verify::{
@@ -502,13 +500,13 @@ impl EpochRunner {
         }
         let fresh = self.checker.epochs_seen() == 0 && self.sim.quiesced();
         let mark = self.diagnostics.len();
-        self.cold_lint_gate(epochs)?;
+        gate(self.cold_lint_gate(epochs))?;
         let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
         let analysis = analyze_activity(self.sim.mesh, &self.cost, &specs);
         let refusals = verify_activity(self.sim.mesh, &self.cost, &specs, &analysis.cert);
         if !refusals.is_empty() {
             self.diagnostics.extend(refusals);
-            return self.run_serial_tail(epochs);
+            return self.run_serial(epochs);
         }
         let report = self.certified_after_gate(epochs, &analysis.cert, progs, opts, true)?;
         // Memoize only a fully clean run from the recordable starting
@@ -569,7 +567,7 @@ impl EpochRunner {
         progs: &mut ProgramCache,
         opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
-        self.cold_lint_gate(epochs)?;
+        gate(self.cold_lint_gate(epochs))?;
         self.certified_after_gate(epochs, cert, progs, opts, false)
     }
 
@@ -595,14 +593,14 @@ impl EpochRunner {
                  cover pre-armed tiles — falling back to the serial engine"
                     .to_string(),
             ));
-            return self.run_serial_tail(epochs);
+            return self.run_serial(epochs);
         }
         if !verified {
             let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
             let refusals = verify_activity(self.sim.mesh, &self.cost, &specs, cert);
             if !refusals.is_empty() {
                 self.diagnostics.extend(refusals);
-                return self.run_serial_tail(epochs);
+                return self.run_serial(epochs);
             }
         }
         let mut report = RunReport::default();
@@ -614,23 +612,13 @@ impl EpochRunner {
         Ok(report)
     }
 
-    /// The bit-exact fallback: the plain serial epoch loop (the
-    /// schedule-level gate has already run).
-    fn run_serial_tail(&mut self, epochs: &[Epoch]) -> Result<RunReport, SimError> {
-        let mut report = RunReport::default();
-        for e in epochs {
-            report.epochs.push(self.run_epoch(e)?);
-        }
-        Ok(report)
-    }
-
     /// One epoch under an accepted certificate: identical verification,
-    /// reconfiguration accounting, and event stream as
-    /// [`EpochRunner::run_epoch`], but the array never steps — the
-    /// stall head is accounted in one batch and only the certificate's
-    /// independence classes execute, each to its own quiescence.
+    /// switch and event stream as [`EpochRunner::run_epoch`], but the
+    /// array never steps — the stall head is accounted in one batch and
+    /// only the certificate's independence classes execute, each to its
+    /// own quiescence.
     ///
-    /// `gate` re-runs the per-epoch verifier; [`replay_verified`]
+    /// `check` re-runs the per-epoch verifier; [`replay_verified`]
     /// passes `false` because the memoized transcript already carries
     /// this epoch's findings from the byte-identical cold run.
     ///
@@ -641,77 +629,21 @@ impl EpochRunner {
         ea: &EpochActivity,
         progs: &mut ProgramCache,
         opts: &EventOptions,
-        gate: bool,
+        check: bool,
     ) -> Result<EpochReport, SimError> {
-        if gate && self.sim.verify != VerifyMode::Off {
-            let found = self.checker.check_epoch(&epoch_spec(epoch));
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
-            self.diagnostics.extend(found);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
-            }
+        if check {
+            gate(self.check(epoch))?;
         }
-        // Reconfiguration plan and Eq. 1 accounting, bit for bit as the
-        // serial path — but each image is encoded once and reused for
-        // costing, loading, and the decode cache.
-        let mut plan = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        let mut images: Vec<Option<Vec<u128>>> = Vec::with_capacity(epoch.setups.len());
-        for (t, setup) in &epoch.setups {
-            let img = setup.program.as_ref().map(|p| encode_program(p));
-            plan.add_tile(
-                *t,
-                TileReconfig {
-                    program: img.clone(),
-                    data_patches: setup.data_patches.clone(),
-                },
-            );
-            images.push(img);
-        }
-        let reconfig_ns = plan.total_ns(&self.cost);
-        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
-        let epoch_idx = self.epochs_run;
+        let epoch_idx = self.begin(&epoch.name);
         let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: epoch.name.clone(),
-            at: start,
-        });
-        self.emit(Event::Reconfig {
-            epoch: epoch_idx,
-            at: start,
-            breakdown: plan.breakdown(),
-            reconfig_ns,
-            stall_cycles,
-            stalled_tiles: plan.stalled_tiles(),
-        });
-
-        // Apply the rewrites through the cache: verify each distinct
-        // image at most once, decode it at most once.
-        let mut armed: HashMap<TileId, Arc<DecodedProgram>> = HashMap::new();
-        for ((t, setup), img) in epoch.setups.iter().zip(&images) {
-            if let Some(img) = img {
-                if self.sim.verify != VerifyMode::Off && !progs.is_verified(img) {
-                    self.sim.verify_image(img)?;
-                    progs.mark_verified(img);
-                }
-                let tile = self
-                    .sim
-                    .tiles
-                    .get_mut(*t)
-                    .ok_or(FabricError::UnknownTile { tile: *t })?;
-                tile.load_program(img)?;
-                self.sim.states[*t].soft_reset();
-                armed.insert(*t, progs.decode_image(img));
-            }
-            for patch in &setup.data_patches {
-                self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
-            }
-        }
+        let prev = self.prev_links.clone();
+        let payloads = payloads(epoch, 0, None)?;
+        let sw = self.switch(epoch_idx, &prev, &epoch.links, payloads, Some(progs))?;
         self.sim.set_links(epoch.links.clone())?;
         self.prev_links = epoch.links.clone();
 
         let stats_before = self.sim.stats.clone();
-        let stalled = plan.stalled_tiles();
+        let (stalled, stall_cycles, armed) = (&sw.stalled, sw.stall_cycles, &sw.armed);
         // The stall head, proven word-free, is accounted in one batch
         // instead of cycle-by-cycle.
         if !stalled.is_empty() && stall_cycles > epoch.budget {
@@ -720,7 +652,7 @@ impl EpochRunner {
                 budget: epoch.budget,
             });
         }
-        for &t in &stalled {
+        for &t in stalled {
             if let Some(s) = self.sim.stats.get_mut(t) {
                 s.reconfig_cycles += stall_cycles;
             }
@@ -757,7 +689,7 @@ impl EpochRunner {
                     class_budget,
                     deadline_budget,
                     &mut members,
-                    &armed,
+                    armed,
                     record_transfers,
                 );
                 (members, run)
@@ -838,7 +770,7 @@ impl EpochRunner {
         if self.sim.sink_attached() {
             let mut synth: Vec<(u64, TileId, Event)> = Vec::new();
             if stall_cycles > 0 {
-                for &t in &stalled {
+                for &t in stalled {
                     synth.push((
                         start,
                         t,
@@ -887,15 +819,6 @@ impl EpochRunner {
             }
         }
 
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        Ok(self.close(epoch_idx, &epoch.name, &stats_before, cycles, &sw))
     }
 }

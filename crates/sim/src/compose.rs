@@ -19,11 +19,9 @@
 //! of the tenants overlap each other as well as the surviving
 //! computation.
 
-use crate::engine::{SimError, TileStats, VerifyMode};
-use crate::epoch::{epoch_spec, Epoch, EpochReport, EpochRunner, RunReport};
-use cgra_fabric::{ReconfigPlan, ShadowConfig, TileId, TileReconfig};
-use cgra_isa::encode_program;
-use cgra_telemetry::Event;
+use crate::engine::{SimError, VerifyMode};
+use crate::epoch::{epoch_spec, gate, payloads, Epoch, EpochRunner, Hoisting, RunReport, Switch};
+use cgra_fabric::TileId;
 use cgra_verify::{
     check_disjoint, verify_footprint, Code, Diagnostic, EpochSpec, FootprintCertificate,
 };
@@ -116,13 +114,12 @@ impl EpochRunner {
         let mesh = self.sim.mesh;
         // --- certificate gate: nothing is applied past this block ---
         if self.sim.verify != VerifyMode::Off {
-            let mut gate_errs: Vec<Diagnostic> = Vec::new();
+            let mut errs: Vec<Diagnostic> = Vec::new();
             for t in tenants {
                 let specs: Vec<EpochSpec> = t.epochs.iter().map(epoch_spec).collect();
                 if let Some(plan) = &t.hoist {
                     let refused = cgra_lint::verify_hoists(mesh, &specs, plan, &self.cost);
-                    gate_errs.extend(cgra_verify::errors(&refused).cloned());
-                    self.diagnostics.extend(refused);
+                    errs.extend(self.record(refused));
                 }
                 let shadow = t
                     .hoist
@@ -130,27 +127,14 @@ impl EpochRunner {
                     .map(|p| p.shadow_claims())
                     .unwrap_or_default();
                 let found = verify_footprint(mesh, &specs, &shadow, &t.cert);
-                gate_errs.extend(cgra_verify::errors(&found).cloned());
-                self.diagnostics.extend(found);
-                if self.checker.epochs_seen() == 0 {
-                    let lint = cgra_lint::lint_schedule(
-                        mesh,
-                        &specs,
-                        &cgra_lint::LintLevels::default(),
-                        &self.cost,
-                    );
-                    gate_errs.extend(cgra_verify::errors(&lint.diags).cloned());
-                    self.diagnostics.extend(lint.diags);
-                }
+                errs.extend(self.record(found));
+                errs.extend(self.cold_lint_gate(&t.epochs));
             }
             let parts: Vec<(&str, &FootprintCertificate)> =
                 tenants.iter().map(|t| (t.name.as_str(), &t.cert)).collect();
             let disjoint = check_disjoint(&parts, None);
-            gate_errs.extend(cgra_verify::errors(&disjoint).cloned());
-            self.diagnostics.extend(disjoint);
-            if !gate_errs.is_empty() {
-                return Err(SimError::Verify(gate_errs));
-            }
+            errs.extend(self.record(disjoint));
+            gate(errs)?;
         }
 
         let n = tenants.len();
@@ -167,15 +151,12 @@ impl EpochRunner {
         // own previous configuration, exactly as the tenant would
         // isolated on a cold array.
         let mut prev: Vec<_> = (0..n).map(|_| mesh.disconnected()).collect();
-        let mut shadows: Vec<Option<ShadowConfig>> = tenants
+        let mut hoists: Vec<Option<Hoisting>> = tenants
             .iter()
-            .map(|t| {
-                t.hoist
-                    .as_ref()
-                    .map(|p| ShadowConfig::new(mesh.tiles(), p.shadow_depth.max(1)))
-            })
+            .map(|t| t.hoist.as_ref().map(|p| Hoisting::new(p, mesh.tiles())))
             .collect();
         let merged_epochs = tenants.iter().map(|t| t.epochs.len()).max().unwrap_or(0);
+        let base = self.epochs_run;
         let run_start = self.sim.now;
         let mut outcomes: Vec<TenantOutcome> = tenants
             .iter()
@@ -193,100 +174,37 @@ impl EpochRunner {
             // initialized-memory state (regions are tile-disjoint, so
             // interleaving the tenants is per-tile equivalent to
             // checking each alone).
-            if self.sim.verify != VerifyMode::Off {
-                let mut errs: Vec<Diagnostic> = Vec::new();
-                for t in tenants {
-                    if let Some(e) = t.epochs.get(j) {
-                        let found = self.checker.check_epoch(&epoch_spec(e));
-                        errs.extend(cgra_verify::errors(&found).cloned());
-                        self.diagnostics.extend(found);
-                    }
-                }
-                if !errs.is_empty() {
-                    return Err(SimError::Verify(errs));
-                }
+            let mut errs: Vec<Diagnostic> = Vec::new();
+            for e in tenants.iter().filter_map(|t| t.epochs.get(j)) {
+                errs.extend(self.check(e));
             }
-            let epoch_idx = self.epochs_run;
-            let start = self.sim.now;
+            gate(errs)?;
             let merged_name: String = tenants
                 .iter()
                 .filter_map(|t| t.epochs.get(j).map(|e| format!("{}:{}", t.name, e.name)))
                 .collect::<Vec<_>>()
                 .join(" + ");
-            self.emit(Event::EpochBegin {
-                epoch: epoch_idx,
-                name: merged_name.clone(),
-                at: start,
-            });
+            let epoch_idx = self.begin(&merged_name);
 
             // Region-gated switch: every active region streams its own
             // payloads through its own port, in parallel with the
-            // other regions' switches and their surviving computation.
+            // other regions' switches and their surviving computation,
+            // and stalls only its own tiles for its own switch time.
             let mut budget = 0u64;
-            let mut switches: Vec<Option<(f64, u64, usize)>> = vec![None; n];
+            let mut switches: Vec<Option<Switch>> = Vec::with_capacity(n);
             for (i, t) in tenants.iter().enumerate() {
-                let Some(e) = t.epochs.get(j) else { continue };
+                let Some(e) = t.epochs.get(j) else {
+                    switches.push(None);
+                    continue;
+                };
                 budget = budget.max(e.budget);
-                let mut fg = ReconfigPlan::from_link_change(&prev[i], &e.links);
-                let mut full = ReconfigPlan::from_link_change(&prev[i], &e.links);
-                for (slot, (tile, setup)) in e.setups.iter().enumerate() {
-                    let rc = TileReconfig {
-                        program: setup.program.as_ref().map(|p| encode_program(p)),
-                        data_patches: setup.data_patches.clone(),
-                    };
-                    full.add_tile(*tile, rc.clone());
-                    let hoisted = t.hoist.as_ref().is_some_and(|p| p.is_hoisted(j, slot));
-                    if !hoisted {
-                        fg.add_tile(*tile, rc);
-                    }
+                let payloads = payloads(e, j, hoists[i].as_mut())?;
+                let sw = self.switch(epoch_idx, &prev[i], &e.links, payloads, None)?;
+                for &tile in &sw.stalled {
+                    self.sim.stall_tile(tile, sw.stall_cycles);
                 }
-                let fg_ns = fg.total_ns(&self.cost);
-                let stall = self.cost.stall_cycles(fg_ns);
-                self.emit(Event::Reconfig {
-                    epoch: epoch_idx,
-                    at: start,
-                    breakdown: fg.breakdown(),
-                    reconfig_ns: fg_ns,
-                    stall_cycles: stall,
-                    stalled_tiles: full.stalled_tiles(),
-                });
-                for (slot, (tile, setup)) in e.setups.iter().enumerate() {
-                    let hoisted = t.hoist.as_ref().is_some_and(|p| p.is_hoisted(j, slot));
-                    if hoisted {
-                        let Some(rc) = shadows[i].as_mut().and_then(|sh| sh.commit(*tile, j))
-                        else {
-                            return Err(SimError::Bitstream(format!(
-                                "shadow commit: tile {tile} has no payload staged for epoch {j}"
-                            )));
-                        };
-                        let payload_ns = self.cost.data_reload_ns(rc.data_words())
-                            + self.cost.instr_reload_ns(rc.instr_words());
-                        if let Some(img) = &rc.program {
-                            self.sim.load_program(*tile, img)?;
-                        }
-                        for patch in &rc.data_patches {
-                            self.sim.tiles[*tile].dmem.load(patch.base, &patch.words)?;
-                        }
-                        self.emit(Event::ShadowCommit {
-                            epoch: epoch_idx,
-                            at: start,
-                            tile: *tile,
-                            payload_ns,
-                        });
-                    } else {
-                        if let Some(prog) = &setup.program {
-                            self.sim.load_program(*tile, &encode_program(prog))?;
-                        }
-                        for patch in &setup.data_patches {
-                            self.sim.tiles[*tile].dmem.load(patch.base, &patch.words)?;
-                        }
-                    }
-                }
-                for tile in full.stalled_tiles() {
-                    self.sim.stall_tile(tile, stall);
-                }
-                switches[i] = Some((fg_ns, stall, fg.changed_links));
                 prev[i] = e.links.clone();
+                switches.push(Some(sw));
             }
             // Merged interconnect: overlay each active region's link
             // settings on its claimed tiles; finished tenants keep
@@ -303,21 +221,9 @@ impl EpochRunner {
 
             let stats_before = self.sim.stats.clone();
             self.sim.run_until_quiesced(budget)?;
-            self.finish_epoch(epoch_idx, &merged_name, &stats_before);
+            let deltas = self.finish_epoch(epoch_idx, &merged_name, &stats_before);
 
             // Runtime enforcement of the certificates' claims.
-            let deltas: Vec<TileStats> = self
-                .sim
-                .stats
-                .iter()
-                .zip(&stats_before)
-                .map(|(now, then)| TileStats {
-                    busy_cycles: now.busy_cycles - then.busy_cycles,
-                    reconfig_cycles: now.reconfig_cycles - then.reconfig_cycles,
-                    words_sent: now.words_sent - then.words_sent,
-                    words_received: now.words_received - then.words_received,
-                })
-                .collect();
             for (tile, d) in deltas.iter().enumerate() {
                 let moved = d.busy_cycles + d.reconfig_cycles + d.words_sent + d.words_received;
                 if !claimed[tile] && moved != 0 {
@@ -332,13 +238,11 @@ impl EpochRunner {
                     )
                     .on_tile(tile)
                     .in_epoch(j);
-                    self.diagnostics.push(diag.clone());
-                    return Err(SimError::Verify(vec![diag]));
+                    return Err(SimError::Verify(self.record(vec![diag])));
                 }
             }
             for (i, t) in tenants.iter().enumerate() {
-                let Some(e) = t.epochs.get(j) else { continue };
-                let Some((fg_ns, stall, links_changed)) = switches[i] else {
+                let (Some(e), Some(sw)) = (t.epochs.get(j), &switches[i]) else {
                     continue;
                 };
                 let busy_max = tile_sets[i]
@@ -367,55 +271,22 @@ impl EpochRunner {
                             ),
                         )
                         .in_epoch(j);
-                        self.diagnostics.push(diag.clone());
-                        return Err(SimError::Verify(vec![diag]));
+                        return Err(SimError::Verify(self.record(vec![diag])));
                     }
                 }
-                outcomes[i].observed_cycles += stall + busy_max;
+                outcomes[i].observed_cycles += sw.stall_cycles + busy_max;
                 outcomes[i].busy_tile_cycles += tile_sets[i]
                     .iter()
                     .map(|&tile| deltas[tile].busy_cycles)
                     .sum::<u64>();
-                outcomes[i].report.epochs.push(EpochReport {
-                    name: e.name.clone(),
-                    compute_ns: self.cost.exec_ns(busy_max),
-                    reconfig_ns: fg_ns,
-                    links_changed,
-                    words_copied: sent,
-                });
+                let rep = sw.report(&e.name, &self.cost, busy_max, sent);
+                outcomes[i].report.epochs.push(rep);
             }
             // Stage hoisted payloads whose last donor window closed in
-            // this merged epoch (mirrors `run_hoisted_schedule`).
-            for (i, t) in tenants.iter().enumerate() {
-                let Some(plan) = &t.hoist else { continue };
-                for h in plan.hoists.iter() {
-                    if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
-                        continue;
-                    }
-                    let Some((tile, setup)) =
-                        t.epochs.get(h.target).and_then(|ep| ep.setups.get(h.slot))
-                    else {
-                        continue; // verify_hoists already vouched; unreachable
-                    };
-                    let rc = TileReconfig {
-                        program: setup.program.as_ref().map(|p| encode_program(p)),
-                        data_patches: setup.data_patches.clone(),
-                    };
-                    let Some(sh) = shadows[i].as_mut() else {
-                        continue;
-                    };
-                    sh.stage(*tile, h.target, rc)
-                        .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
-                    let pending = sh.pending(*tile);
-                    let at = self.sim.now;
-                    self.emit(Event::ShadowPrefetch {
-                        epoch: j,
-                        at,
-                        tile: *tile,
-                        target: h.target,
-                        payload_ns: h.payload_ns,
-                        pending,
-                    });
+            // this merged epoch.
+            for (t, h) in tenants.iter().zip(hoists.iter_mut()) {
+                if let Some(h) = h {
+                    self.stage_hoists(&t.epochs, h, j, base)?;
                 }
             }
         }

@@ -13,16 +13,20 @@
 //!           (A: epochs)   (B: reconfig)    (C: data copies)
 //! ```
 
+use crate::active::{DecodedProgram, ProgramCache};
 use crate::engine::{ArraySim, SimError, TileStats, VerifyMode};
 use crate::trace::Trace;
-use cgra_fabric::bitstream::{self, ParsedBitstream};
+use cgra_fabric::bitstream;
 use cgra_fabric::{
-    CostModel, DataPatch, LinkConfig, Mesh, ReconfigPlan, ShadowConfig, TileId, TileReconfig,
+    CostModel, DataPatch, FabricError, LinkConfig, Mesh, ReconfigPlan, ShadowConfig, TileId,
+    TileReconfig,
 };
 use cgra_isa::encode_program;
 use cgra_isa::Instr;
 use cgra_telemetry::{Counters, Event};
 use cgra_verify::{Code, Diagnostic, EpochSpec, ScheduleChecker, TileSpec};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Reconfiguration payload for one tile in an epoch.
 #[derive(Debug, Clone, Default)]
@@ -132,8 +136,7 @@ pub struct EpochReport {
     /// Reconfiguration time for the switch into this epoch (term B + the
     /// memory-rewrite part), ns.
     pub reconfig_ns: f64,
-    /// How much of the reconfiguration overlapped computation that was
-    /// still running on untouched tiles, ns (informational).
+    /// Links re-routed by the switch into this epoch.
     pub links_changed: usize,
     /// Words copied across tiles during the epoch (term C traffic).
     pub words_copied: u64,
@@ -160,6 +163,101 @@ impl RunReport {
     /// Eq. 1 total, ns.
     pub fn total_ns(&self) -> f64 {
         self.total_compute_ns() + self.total_reconfig_ns()
+    }
+}
+
+impl TileSetup {
+    /// The slot's ICAP payload, its program encoded.
+    pub(crate) fn encode(&self) -> TileReconfig {
+        TileReconfig {
+            program: self.program.as_ref().map(|p| encode_program(p)),
+            data_patches: self.data_patches.clone(),
+        }
+    }
+}
+
+/// One tile's switch payload, and whether it commits from the shadow
+/// plane (`true`) instead of streaming through the foreground port.
+pub(crate) type Payload = (TileId, TileReconfig, bool);
+
+/// What one region's switch did: its Eq. 1 reconfiguration accounting,
+/// the tiles it rewrote, and — on the certified path — the decoded
+/// programs it armed.
+pub(crate) struct Switch {
+    reconfig_ns: f64,
+    pub(crate) stall_cycles: u64,
+    links_changed: usize,
+    pub(crate) stalled: Vec<TileId>,
+    pub(crate) armed: HashMap<TileId, Arc<DecodedProgram>>,
+}
+
+impl Switch {
+    /// The region's report for an epoch that computed for
+    /// `compute_cycles` and copied `words` across tiles.
+    pub(crate) fn report(
+        &self,
+        name: &str,
+        cost: &CostModel,
+        compute_cycles: u64,
+        words: u64,
+    ) -> EpochReport {
+        EpochReport {
+            name: name.to_string(),
+            compute_ns: cost.exec_ns(compute_cycles),
+            reconfig_ns: self.reconfig_ns,
+            links_changed: self.links_changed,
+            words_copied: words,
+        }
+    }
+}
+
+/// A hoisting plan from `cgra_lint::overlap` and the double-buffered
+/// shadow plane its payloads stream into.
+pub(crate) struct Hoisting<'a> {
+    plan: &'a cgra_lint::HoistPlan,
+    shadow: ShadowConfig,
+}
+
+impl<'a> Hoisting<'a> {
+    pub(crate) fn new(plan: &'a cgra_lint::HoistPlan, tiles: usize) -> Hoisting<'a> {
+        Hoisting {
+            plan,
+            shadow: ShadowConfig::new(tiles, plan.shadow_depth),
+        }
+    }
+}
+
+/// An epoch's payloads in slot order, each program encoded once; the
+/// slots `hoist` moved off the foreground of schedule epoch `j` commit
+/// from its shadow plane instead.
+pub(crate) fn payloads(
+    epoch: &Epoch,
+    j: usize,
+    mut hoist: Option<&mut Hoisting>,
+) -> Result<Vec<Payload>, SimError> {
+    let mut out = Vec::with_capacity(epoch.setups.len());
+    for (slot, (t, setup)) in epoch.setups.iter().enumerate() {
+        out.push(match hoist.as_deref_mut() {
+            Some(h) if h.plan.is_hoisted(j, slot) => {
+                let rc = h.shadow.commit(*t, j).ok_or_else(|| {
+                    SimError::Bitstream(format!(
+                        "shadow commit: tile {t} has no payload staged for epoch {j}"
+                    ))
+                })?;
+                (*t, rc, true)
+            }
+            _ => (*t, setup.encode(), false),
+        });
+    }
+    Ok(out)
+}
+
+/// Aborts with [`SimError::Verify`] when `errs` holds any finding.
+pub(crate) fn gate(errs: Vec<Diagnostic>) -> Result<(), SimError> {
+    if errs.is_empty() {
+        Ok(())
+    } else {
+        Err(SimError::Verify(errs))
     }
 }
 
@@ -222,26 +320,143 @@ impl EpochRunner {
         self.events.push(ev);
     }
 
-    /// Closes one executed epoch: flushes open engine segments and
-    /// emits the per-tile activity summaries and the end bracket.
-    pub(crate) fn finish_epoch(&mut self, epoch: usize, name: &str, before: &[TileStats]) {
+    /// Files `found` in [`EpochRunner::diagnostics`] and returns its
+    /// error findings (pass them to [`gate`] to abort on them).
+    pub(crate) fn record(&mut self, found: Vec<Diagnostic>) -> Vec<Diagnostic> {
+        let errs = cgra_verify::errors(&found).cloned().collect();
+        self.diagnostics.extend(found);
+        errs
+    }
+
+    /// The per-epoch verifier gate: under any verify mode other than
+    /// [`VerifyMode::Off`], checks `epoch` with the initialized-memory
+    /// state carried across the epochs this runner has executed, and
+    /// returns the error findings.
+    pub(crate) fn check(&mut self, epoch: &Epoch) -> Vec<Diagnostic> {
+        if self.sim.verify == VerifyMode::Off {
+            return Vec::new();
+        }
+        let found = self.checker.check_epoch(&epoch_spec(epoch));
+        self.record(found)
+    }
+
+    /// Opens an epoch: emits its begin bracket and returns its index in
+    /// this runner's event stream.
+    pub(crate) fn begin(&mut self, name: &str) -> usize {
+        let epoch = self.epochs_run;
+        let at = self.sim.now;
+        self.emit(Event::EpochBegin {
+            epoch,
+            name: name.to_string(),
+            at,
+        });
+        epoch
+    }
+
+    /// The epoch switch — the one place a region of the fabric is
+    /// partially reconfigured from `prev` to `links`.
+    ///
+    /// Every payload arrives in one shape whatever its source
+    /// (foreground slots, shadow-plane commits, or a parsed bitstream).
+    /// The foreground plan streams the link delta plus the payloads not
+    /// committed from the shadow plane and sets the switch time; every
+    /// touched tile is reported stalled. Programs load through
+    /// [`ArraySim::load_program`], or — when `progs` is given — through
+    /// its verify memo and decode cache, arming the decoded programs
+    /// for the class stepper. The caller stalls the rewritten tiles (or
+    /// accounts the stall head in one batch) and installs the links.
+    pub(crate) fn switch(
+        &mut self,
+        epoch: usize,
+        prev: &LinkConfig,
+        links: &LinkConfig,
+        payloads: Vec<Payload>,
+        mut progs: Option<&mut ProgramCache>,
+    ) -> Result<Switch, SimError> {
+        if let Some((tile, ..)) = payloads.iter().find(|(t, ..)| *t >= self.sim.tiles.len()) {
+            return Err(FabricError::UnknownTile { tile: *tile }.into());
+        }
+        let mut full = ReconfigPlan::from_link_change(prev, links);
+        let mut fg = full.clone();
+        for (t, rc, hoisted) in &payloads {
+            full.add_tile(*t, rc.clone());
+            if !hoisted {
+                fg.add_tile(*t, rc.clone());
+            }
+        }
+        let reconfig_ns = fg.total_ns(&self.cost);
+        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
+        let stalled = full.stalled_tiles();
+        let at = self.sim.now;
+        self.emit(Event::Reconfig {
+            epoch,
+            at,
+            breakdown: fg.breakdown(),
+            reconfig_ns,
+            stall_cycles,
+            stalled_tiles: stalled.clone(),
+        });
+        let mut armed = HashMap::new();
+        for (t, rc, hoisted) in &payloads {
+            if let Some(img) = &rc.program {
+                match progs.as_deref_mut() {
+                    // Verify each distinct image at most once, decode it
+                    // at most once.
+                    Some(cache) => {
+                        if self.sim.verify != VerifyMode::Off && !cache.is_verified(img) {
+                            self.sim.verify_image(img)?;
+                            cache.mark_verified(img);
+                        }
+                        self.sim.tiles[*t].load_program(img)?;
+                        self.sim.states[*t].soft_reset();
+                        armed.insert(*t, cache.decode_image(img));
+                    }
+                    None => self.sim.load_program(*t, img)?,
+                }
+            }
+            for patch in &rc.data_patches {
+                self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
+            }
+            if *hoisted {
+                let payload_ns = self.cost.data_reload_ns(rc.data_words())
+                    + self.cost.instr_reload_ns(rc.instr_words());
+                self.emit(Event::ShadowCommit {
+                    epoch,
+                    at,
+                    tile: *t,
+                    payload_ns,
+                });
+            }
+        }
+        Ok(Switch {
+            reconfig_ns,
+            stall_cycles,
+            links_changed: fg.changed_links,
+            stalled,
+            armed,
+        })
+    }
+
+    /// Closes one executed epoch: flushes open engine segments, emits
+    /// the per-tile activity summaries and the end bracket, and returns
+    /// the per-tile deltas over `before`.
+    pub(crate) fn finish_epoch(
+        &mut self,
+        epoch: usize,
+        name: &str,
+        before: &[TileStats],
+    ) -> Vec<TileStats> {
         self.sim.flush_segments();
-        let deltas: Vec<(TileId, TileStats)> = self
+        let deltas: Vec<TileStats> = self
             .sim
             .stats
             .iter()
             .zip(before)
-            .enumerate()
-            .map(|(t, (now, then))| {
-                (
-                    t,
-                    TileStats {
-                        busy_cycles: now.busy_cycles - then.busy_cycles,
-                        reconfig_cycles: now.reconfig_cycles - then.reconfig_cycles,
-                        words_sent: now.words_sent - then.words_sent,
-                        words_received: now.words_received - then.words_received,
-                    },
-                )
+            .map(|(now, then)| TileStats {
+                busy_cycles: now.busy_cycles - then.busy_cycles,
+                reconfig_cycles: now.reconfig_cycles - then.reconfig_cycles,
+                words_sent: now.words_sent - then.words_sent,
+                words_received: now.words_received - then.words_received,
             })
             .collect();
         let at = self.sim.now;
@@ -257,7 +472,7 @@ impl EpochRunner {
             })
             .unwrap_or(at);
         let span = at.saturating_sub(start);
-        for (t, d) in deltas {
+        for (t, d) in deltas.iter().enumerate() {
             self.emit(Event::TileEpoch {
                 epoch,
                 tile: t,
@@ -287,6 +502,46 @@ impl EpochRunner {
             at,
         });
         self.epochs_run += 1;
+        deltas
+    }
+
+    /// Closes a whole-fabric epoch that ran `cycles` (stall head
+    /// included) after switch `sw`, and returns its Eq. 1 report.
+    pub(crate) fn close(
+        &mut self,
+        epoch: usize,
+        name: &str,
+        before: &[TileStats],
+        cycles: u64,
+        sw: &Switch,
+    ) -> EpochReport {
+        let deltas = self.finish_epoch(epoch, name, before);
+        let words = deltas.iter().map(|d| d.words_sent).sum();
+        let compute = cycles.saturating_sub(sw.stall_cycles);
+        sw.report(name, &self.cost, compute, words)
+    }
+
+    /// One epoch on the serial stepper: switch the whole fabric, stall
+    /// only the rewritten tiles (the rest keep computing), step the
+    /// array to quiescence, close.
+    fn serial_epoch(
+        &mut self,
+        name: &str,
+        links: LinkConfig,
+        payloads: Vec<Payload>,
+        budget: u64,
+    ) -> Result<EpochReport, SimError> {
+        let epoch = self.begin(name);
+        let prev = self.prev_links.clone();
+        let sw = self.switch(epoch, &prev, &links, payloads, None)?;
+        for &t in &sw.stalled {
+            self.sim.stall_tile(t, sw.stall_cycles);
+        }
+        self.sim.set_links(links.clone())?;
+        self.prev_links = links;
+        let before = self.sim.stats.clone();
+        let cycles = self.sim.run_until_quiesced(budget)?;
+        Ok(self.close(epoch, name, &before, cycles, &sw))
     }
 
     /// Applies an epoch's reconfiguration and runs it to quiescence.
@@ -296,135 +551,45 @@ impl EpochRunner {
     /// the epochs this runner has executed); error findings abort the
     /// switch before anything is applied.
     pub fn run_epoch(&mut self, epoch: &Epoch) -> Result<EpochReport, SimError> {
-        if self.sim.verify != VerifyMode::Off {
-            let found = self.checker.check_epoch(&epoch_spec(epoch));
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
-            self.diagnostics.extend(found);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
-            }
-        }
-        // Build the reconfiguration plan.
-        let mut plan = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        for (t, setup) in &epoch.setups {
-            plan.add_tile(
-                *t,
-                TileReconfig {
-                    program: setup.program.as_ref().map(|p| encode_program(p)),
-                    data_patches: setup.data_patches.clone(),
-                },
-            );
-        }
-        let reconfig_ns = plan.total_ns(&self.cost);
-        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
-        let epoch_idx = self.epochs_run;
-        let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: epoch.name.clone(),
-            at: start,
-        });
-        self.emit(Event::Reconfig {
-            epoch: epoch_idx,
-            at: start,
-            breakdown: plan.breakdown(),
-            reconfig_ns,
-            stall_cycles,
-            stalled_tiles: plan.stalled_tiles(),
-        });
+        self.run_hoisted_epoch(epoch, 0, None)
+    }
 
-        // Apply the rewrites, stalling only the touched tiles (overlap!).
-        for (t, setup) in &epoch.setups {
-            if let Some(prog) = &setup.program {
-                self.sim.load_program(*t, &encode_program(prog))?;
-            }
-            for patch in &setup.data_patches {
-                self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
-            }
-        }
-        for t in plan.stalled_tiles() {
-            self.sim.stall_tile(t, stall_cycles);
-        }
-        self.sim.set_links(epoch.links.clone())?;
-        self.prev_links = epoch.links.clone();
-
-        let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(epoch.budget)?;
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+    /// [`EpochRunner::run_epoch`] for schedule epoch `j`, its hoisted
+    /// slots committing from `hoist`'s shadow plane. The checker sees
+    /// the *original* epoch: a commit is the same write at the same
+    /// point, so legality and the threaded may-init state are those of
+    /// the unhoisted schedule.
+    fn run_hoisted_epoch(
+        &mut self,
+        epoch: &Epoch,
+        j: usize,
+        hoist: Option<&mut Hoisting>,
+    ) -> Result<EpochReport, SimError> {
+        gate(self.check(epoch))?;
+        let payloads = payloads(epoch, j, hoist)?;
+        self.serial_epoch(&epoch.name, epoch.links.clone(), payloads, epoch.budget)
     }
 
     /// Runs an epoch whose reconfiguration arrives as a serialized partial
     /// bitstream — the prototype's CompactFlash -> ICAP path. The stream is
     /// parsed, the rewritten tiles stall for the ICAP time, the link
     /// settings it carries are applied, and the epoch runs to quiescence.
+    /// Under [`VerifyMode::Strict`] every program image it carries is
+    /// verified before it loads, as on [`EpochRunner::run_epoch`].
     pub fn run_bitstream_epoch(
         &mut self,
         name: &str,
         bytes: &[u8],
         budget: u64,
     ) -> Result<EpochReport, SimError> {
-        let parsed: ParsedBitstream =
-            bitstream::parse(bytes).map_err(|e| SimError::Bitstream(e.to_string()))?;
+        let parsed = bitstream::parse(bytes).map_err(|e| SimError::Bitstream(e.to_string()))?;
         // Target links: current config with the stream's settings applied.
         let mut links = self.sim.links.clone();
         for (t, d) in &parsed.links {
             links.set(*t, *d);
         }
-        let mut plan = parsed.plan.clone();
-        plan.changed_links = self.prev_links.delta(&links);
-        let reconfig_ns = plan.total_ns(&self.cost);
-        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
-        let epoch_idx = self.epochs_run;
-        let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: name.to_string(),
-            at: start,
-        });
-        self.emit(Event::Reconfig {
-            epoch: epoch_idx,
-            at: start,
-            breakdown: plan.breakdown(),
-            reconfig_ns,
-            stall_cycles,
-            stalled_tiles: plan.stalled_tiles(),
-        });
-
-        bitstream::apply(&parsed, &mut self.sim.tiles, &mut self.sim.links)
-            .map_err(SimError::Fabric)?;
-        // Re-arm reprogrammed PEs and stall rewritten tiles.
-        for (t, rc) in &parsed.plan.tiles {
-            if rc.program.is_some() {
-                self.sim.states[*t].soft_reset();
-            }
-        }
-        for t in plan.stalled_tiles() {
-            self.sim.stall_tile(t, stall_cycles);
-        }
-        self.sim.set_links(links.clone())?;
-        self.prev_links = links;
-
-        let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(budget)?;
-        self.finish_epoch(epoch_idx, name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: name.to_string(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        let payloads = parsed.plan.tiles.into_iter().map(|(t, rc)| (t, rc, false));
+        self.serial_epoch(name, links, payloads.collect(), budget)
     }
 
     /// Runs a whole schedule.
@@ -439,36 +604,31 @@ impl EpochRunner {
     /// pass assumes a cold array, so it is skipped when this runner has
     /// already executed epochs.
     pub fn run_schedule(&mut self, epochs: &[Epoch]) -> Result<RunReport, SimError> {
-        self.cold_lint_gate(epochs)?;
-        let mut report = RunReport::default();
-        for e in epochs {
-            report.epochs.push(self.run_epoch(e)?);
-        }
-        Ok(report)
+        gate(self.cold_lint_gate(epochs))?;
+        self.run_serial(epochs)
+    }
+
+    /// The serial epoch loop, past the schedule-level gates.
+    pub(crate) fn run_serial(&mut self, epochs: &[Epoch]) -> Result<RunReport, SimError> {
+        let epochs = epochs.iter().map(|e| self.run_epoch(e));
+        Ok(RunReport {
+            epochs: epochs.collect::<Result<_, _>>()?,
+        })
     }
 
     /// The cold-run `cgra-lint` inter-epoch gate shared by every
-    /// whole-schedule entry point: deny-level findings abort before
-    /// anything is applied, warnings land in
-    /// [`EpochRunner::diagnostics`]. Skipped when verification is off or
-    /// when this runner has already executed epochs (the lint pass
-    /// assumes a cold array).
-    pub(crate) fn cold_lint_gate(&mut self, epochs: &[Epoch]) -> Result<(), SimError> {
-        if self.sim.verify != VerifyMode::Off && self.checker.epochs_seen() == 0 {
-            let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-            let lint = cgra_lint::lint_schedule(
-                self.sim.mesh,
-                &specs,
-                &cgra_lint::LintLevels::default(),
-                &self.cost,
-            );
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&lint.diags).cloned().collect();
-            self.diagnostics.extend(lint.diags);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
-            }
+    /// whole-schedule entry point: warnings land in
+    /// [`EpochRunner::diagnostics`] and the deny-level findings are
+    /// returned, for the caller to abort on before anything is applied.
+    /// Skipped when verification is off or when this runner has already
+    /// executed epochs (the lint pass assumes a cold array).
+    pub(crate) fn cold_lint_gate(&mut self, epochs: &[Epoch]) -> Vec<Diagnostic> {
+        if self.sim.verify == VerifyMode::Off || self.checker.epochs_seen() != 0 {
+            return Vec::new();
         }
-        Ok(())
+        let levels = cgra_lint::LintLevels::default();
+        let lint = crate::lint::lint_epochs(self.sim.mesh, epochs, &levels, &self.cost);
+        self.record(lint.diags)
     }
 
     /// Runs a whole schedule under a hoisting plan from
@@ -496,169 +656,56 @@ impl EpochRunner {
         if self.sim.verify != VerifyMode::Off {
             let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
             let refused = cgra_lint::verify_hoists(self.sim.mesh, &specs, plan, &self.cost);
-            if !refused.is_empty() {
-                let errs: Vec<Diagnostic> = cgra_verify::errors(&refused).cloned().collect();
-                self.diagnostics.extend(refused);
-                return Err(SimError::Verify(errs));
-            }
-            if self.checker.epochs_seen() == 0 {
-                let lint = cgra_lint::lint_schedule(
-                    self.sim.mesh,
-                    &specs,
-                    &cgra_lint::LintLevels::default(),
-                    &self.cost,
-                );
-                let errs: Vec<Diagnostic> = cgra_verify::errors(&lint.diags).cloned().collect();
-                self.diagnostics.extend(lint.diags);
-                if !errs.is_empty() {
-                    return Err(SimError::Verify(errs));
-                }
-            }
+            gate(self.record(refused))?;
         }
-        let mut shadow = ShadowConfig::new(self.sim.mesh.tiles(), plan.shadow_depth.max(1));
+        gate(self.cold_lint_gate(epochs))?;
+        let base = self.epochs_run;
+        let mut hoist = Hoisting::new(plan, self.sim.mesh.tiles());
         let mut report = RunReport::default();
         for (j, e) in epochs.iter().enumerate() {
-            report
-                .epochs
-                .push(self.run_epoch_hoisted(e, j, plan, &mut shadow)?);
-            // Payloads whose last donor window is inside epoch `j` are
-            // fully streamed by its end: stage them now.
-            for h in plan.hoists.iter() {
-                if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
-                    continue;
-                }
-                let Some((tile, setup)) = epochs.get(h.target).and_then(|t| t.setups.get(h.slot))
-                else {
-                    continue; // verify_hoists already vouched; unreachable
-                };
-                let rc = TileReconfig {
-                    program: setup.program.as_ref().map(|p| encode_program(p)),
-                    data_patches: setup.data_patches.clone(),
-                };
-                shadow
-                    .stage(*tile, h.target, rc)
-                    .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
-                let at = self.sim.now;
-                let pending = shadow.pending(*tile);
-                self.emit(Event::ShadowPrefetch {
-                    epoch: j,
-                    at,
-                    tile: *tile,
-                    target: h.target,
-                    payload_ns: h.payload_ns,
-                    pending,
-                });
-            }
+            let rep = self.run_hoisted_epoch(e, j, Some(&mut hoist))?;
+            report.epochs.push(rep);
+            self.stage_hoists(epochs, &mut hoist, j, base)?;
         }
         Ok(report)
     }
 
-    /// One epoch of a hoisted run: hoisted slots commit from the shadow
-    /// plane (zero foreground ICAP time), the rest stream through the
-    /// foreground as usual, and *every* touched tile stalls for the
-    /// reduced foreground switch time — keeping all re-armed tiles
-    /// cycle-aligned, which is what makes the replay bit-exact.
-    fn run_epoch_hoisted(
+    /// Stages into `hoist`'s shadow plane every payload whose last donor
+    /// window lies in schedule epoch `j` — it is fully streamed by the
+    /// epoch's end — and emits its prefetch. `base` is this runner's
+    /// epoch index at schedule start, so the prefetch's epoch indices
+    /// are runner-relative like the commits'.
+    pub(crate) fn stage_hoists(
         &mut self,
-        epoch: &Epoch,
-        idx: usize,
-        plan: &cgra_lint::HoistPlan,
-        shadow: &mut ShadowConfig,
-    ) -> Result<EpochReport, SimError> {
-        if self.sim.verify != VerifyMode::Off {
-            // The checker sees the *original* epoch: a commit is the same
-            // write at the same point, so legality and the threaded
-            // may-init state are those of the unhoisted schedule.
-            let found = self.checker.check_epoch(&epoch_spec(epoch));
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
-            self.diagnostics.extend(found);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
+        epochs: &[Epoch],
+        hoist: &mut Hoisting,
+        j: usize,
+        base: usize,
+    ) -> Result<(), SimError> {
+        for h in hoist.plan.hoists.iter() {
+            if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
+                continue;
             }
-        }
-        // Foreground plan: the link delta plus the slots that were not
-        // hoisted. The full plan still names every touched tile — they
-        // all stall through the (shorter) switch.
-        let mut fg = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        let mut full = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        for (slot, (t, setup)) in epoch.setups.iter().enumerate() {
-            let rc = TileReconfig {
-                program: setup.program.as_ref().map(|p| encode_program(p)),
-                data_patches: setup.data_patches.clone(),
+            let Some((tile, setup)) = epochs.get(h.target).and_then(|t| t.setups.get(h.slot))
+            else {
+                continue; // verify_hoists already vouched; unreachable
             };
-            full.add_tile(*t, rc.clone());
-            if !plan.is_hoisted(idx, slot) {
-                fg.add_tile(*t, rc);
-            }
+            hoist
+                .shadow
+                .stage(*tile, h.target, setup.encode())
+                .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
+            let pending = hoist.shadow.pending(*tile);
+            let at = self.sim.now;
+            self.emit(Event::ShadowPrefetch {
+                epoch: base + j,
+                at,
+                tile: *tile,
+                target: base + h.target,
+                payload_ns: h.payload_ns,
+                pending,
+            });
         }
-        let reconfig_ns = fg.total_ns(&self.cost);
-        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
-        let epoch_idx = self.epochs_run;
-        let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: epoch.name.clone(),
-            at: start,
-        });
-        self.emit(Event::Reconfig {
-            epoch: epoch_idx,
-            at: start,
-            breakdown: fg.breakdown(),
-            reconfig_ns,
-            stall_cycles,
-            stalled_tiles: full.stalled_tiles(),
-        });
-
-        // Apply the switch: commits swap in from the shadow plane, the
-        // rest streams through the foreground.
-        for (slot, (t, setup)) in epoch.setups.iter().enumerate() {
-            if plan.is_hoisted(idx, slot) {
-                let Some(rc) = shadow.commit(*t, idx) else {
-                    return Err(SimError::Bitstream(format!(
-                        "shadow commit: tile {t} has no payload staged for epoch {idx}"
-                    )));
-                };
-                let payload_ns = self.cost.data_reload_ns(rc.data_words())
-                    + self.cost.instr_reload_ns(rc.instr_words());
-                if let Some(img) = &rc.program {
-                    self.sim.load_program(*t, img)?;
-                }
-                for patch in &rc.data_patches {
-                    self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
-                }
-                self.emit(Event::ShadowCommit {
-                    epoch: epoch_idx,
-                    at: start,
-                    tile: *t,
-                    payload_ns,
-                });
-            } else {
-                if let Some(prog) = &setup.program {
-                    self.sim.load_program(*t, &encode_program(prog))?;
-                }
-                for patch in &setup.data_patches {
-                    self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
-                }
-            }
-        }
-        for t in full.stalled_tiles() {
-            self.sim.stall_tile(t, stall_cycles);
-        }
-        self.sim.set_links(epoch.links.clone())?;
-        self.prev_links = epoch.links.clone();
-
-        let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(epoch.budget)?;
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: fg.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        Ok(())
     }
 }
 

@@ -129,13 +129,14 @@ pub enum Event {
     /// (runner-emitted at the end of the payload's last donor epoch).
     ShadowPrefetch {
         /// Donor epoch whose idle windows absorbed the tail of the
-        /// streaming.
+        /// streaming (runner-relative, like [`Event::EpochBegin`]).
         epoch: usize,
         /// Cycle the payload was fully staged.
         at: u64,
         /// The tile whose shadow plane holds the payload.
         tile: TileId,
-        /// Epoch the payload will commit into.
+        /// Epoch the payload will commit into (runner-relative: the
+        /// `epoch` of the matching [`Event::ShadowCommit`]).
         target: usize,
         /// Payload ICAP time hidden inside idle windows, ns.
         payload_ns: f64,

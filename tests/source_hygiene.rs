@@ -84,6 +84,8 @@ fn activity_analysis_and_event_core_are_scanned() {
         // co-reside on the fabric — same trust tier, same pin.
         "crates/verify/src/footprint.rs",
         "crates/sim/src/compose.rs",
+        // The single epoch-switch path both of those run through.
+        "crates/sim/src/epoch.rs",
     ] {
         let path = root.join(file);
         assert!(
