@@ -1,25 +1,37 @@
 //! Certified schedule composition: pack K verified schedules onto one
 //! fabric with pairwise-disjoint footprints.
 //!
-//! [`compose_schedules`] places the tenants side by side (column
-//! bands), remaps each schedule onto the composed mesh, derives a
-//! [`FootprintCertificate`] per tenant on the composed coordinates,
-//! proves the certificates pairwise disjoint, and checks that the
-//! merged schedule's own footprint is contained in the tenants' union.
-//! The per-tenant Eq. 1 WCET bounds are re-derived on the composed mesh
-//! and are identical to the isolated bounds — translation moves tiles,
-//! not work — which is the paper's multi-tenant promise: co-residency
-//! costs a tenant nothing that its own schedule didn't already cost.
+//! [`compose_certified`] places already-certified tenants side by side
+//! (column bands) and *translates* each one's proofs onto the composed
+//! mesh through its [`Placement`] (`CertifiedSchedule::place`): the
+//! epochs, the [`FootprintCertificate`] and the Eq. 1 WCET bound move
+//! with the tiles, because translation moves tiles, not work — which is
+//! the paper's multi-tenant promise: co-residency costs a tenant
+//! nothing that its own schedule didn't already cost. Only the hoist
+//! plan is built here, once per tenant on the composed coordinates, and
+//! its shadow-plane claims join the tenant's certificate. The pack-level
+//! proofs stay: the certificates must be pairwise disjoint and the
+//! merged schedule's own footprint must be contained in the tenants'
+//! union.
 //!
-//! The output feeds `cgra_sim::EpochRunner::run_composed_schedule`,
-//! which independently re-verifies every certificate before running.
+//! [`compose_schedules`] is the same path for raw `(name, mesh,
+//! epochs)` handles: it certifies each through
+//! `CertifiedSchedule::certify` first.
+//!
+//! The output feeds `cgra_sim::EpochRunner::run_composed_schedule`.
+//! Each tenant carries the proof it was placed with, which the runner
+//! trusts instead of re-deriving as long as the tenant is unchanged; a
+//! tenant edited after composition is re-verified in full.
+
+use std::sync::Arc;
 
 use cgra_fabric::{CostModel, Mesh, TileId};
-use cgra_sim::epoch::{bound_epochs, epoch_spec, verify_epochs, Epoch};
-use cgra_sim::ComposedTenant;
+use cgra_lint::LintLevels;
+use cgra_sim::epoch::{epoch_spec, Epoch};
+use cgra_sim::{CertifiedSchedule, ComposedTenant};
 use cgra_verify::{
-    analyze_footprint, analyze_footprint_with_shadow, check_contained, check_disjoint, Code,
-    Diagnostic, EpochSpec, FootprintCertificate, ScheduleBound,
+    analyze_footprint, check_contained, check_disjoint, footprint_summary, Code, Diagnostic,
+    EpochSpec, FootprintCertificate, ScheduleBound,
 };
 
 /// Where one tenant landed on the composed mesh.
@@ -62,65 +74,10 @@ pub struct Composition {
     pub diags: Vec<Diagnostic>,
 }
 
-/// Remaps one tile id through a placement, or explains why it can't be.
-fn place_tile(p: &Placement, composed: Mesh, name: &str, t: TileId) -> Result<TileId, Diagnostic> {
-    p.tile(composed, t).ok_or_else(|| {
-        Diagnostic::error(
-            Code::FootprintRefused,
-            format!("tenant '{name}': tile {t} does not fit its placement on the composed mesh"),
-        )
-        .on_tile(t)
-    })
-}
-
-/// Remaps a tenant's epochs onto the composed mesh through its
-/// placement: setups move to the band's tiles, links keep their
-/// directions (the band is a contiguous rectangle, so every verified
-/// in-mesh link stays in-band).
-fn remap_epochs(
-    p: &Placement,
-    composed: Mesh,
-    name: &str,
-    epochs: &[Epoch],
-) -> Result<Vec<Epoch>, Diagnostic> {
-    let mut out = Vec::with_capacity(epochs.len());
-    for e in epochs {
-        let mut links = composed.disconnected();
-        for (t, dir) in e.links.iter_active() {
-            links.set(place_tile(p, composed, name, t)?, Some(dir));
-        }
-        let mut setups = Vec::with_capacity(e.setups.len());
-        for (t, s) in &e.setups {
-            setups.push((place_tile(p, composed, name, *t)?, s.clone()));
-        }
-        out.push(Epoch {
-            name: e.name.clone(),
-            links,
-            setups,
-            budget: e.budget,
-        });
-    }
-    Ok(out)
-}
-
-/// Packs K verified schedules onto one composed fabric.
-///
-/// Each tenant `(name, mesh, epochs)` is first verified in isolation,
-/// then placed into its own column band (composed mesh: `max` rows by
-/// `sum` of columns) and remapped. Per tenant, a footprint certificate
-/// is derived on the composed coordinates (including the shadow-plane
-/// slots of a hoisting plan when `hoist` is set) and the Eq. 1 WCET
-/// bound is re-derived. The packing is rejected (`Err` with the
-/// findings) if any tenant fails verification, any two certificates
-/// collide ([`Code::OverlapConflict`]), any WCET bound breaks its epoch
-/// budget, or the merged schedule's own footprint escapes the tenants'
-/// union ([`Code::FootprintExceeded`]).
-pub fn compose_schedules(
-    tenants: &[(String, Mesh, Vec<Epoch>)],
-    cost: &CostModel,
-    hoist: bool,
-) -> Result<Composition, Vec<Diagnostic>> {
-    if tenants.is_empty() {
+/// Refuses an empty tenant list and duplicate tenant names.
+fn check_names<'a>(names: impl Iterator<Item = &'a str>) -> Result<(), Vec<Diagnostic>> {
+    let names: Vec<&str> = names.collect();
+    if names.is_empty() {
         return Err(vec![Diagnostic::error(
             Code::FootprintRefused,
             "cannot compose an empty tenant list".to_string(),
@@ -130,79 +87,109 @@ pub fn compose_schedules(
     // certificates and placements are all keyed by name. A duplicate
     // would silently compose a schedule with itself and alias two
     // tenants' results, so it is refused outright.
-    for (i, (name, _, _)) in tenants.iter().enumerate() {
-        if tenants[..i].iter().any(|(earlier, _, _)| earlier == name) {
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].contains(name) {
             return Err(vec![Diagnostic::error(
                 Code::FootprintRefused,
                 format!("duplicate tenant name '{name}' in composition"),
             )]);
         }
     }
+    Ok(())
+}
+
+/// Prefixes an error finding with the tenant it concerns.
+fn tenant_error(name: &str, d: &Diagnostic) -> Diagnostic {
+    let mut d = d.clone();
+    d.message = format!("tenant '{name}': {}", d.message);
+    d
+}
+
+/// Packs K verified schedules onto one composed fabric.
+///
+/// Each tenant `(name, mesh, epochs)` is first certified in isolation
+/// (`CertifiedSchedule::certify` under `cost` and the default lint
+/// levels) and then composed by [`compose_certified`]. The packing is
+/// rejected (`Err` with the findings) if any tenant fails verification,
+/// or for any of [`compose_certified`]'s reasons.
+pub fn compose_schedules(
+    tenants: &[(String, Mesh, Vec<Epoch>)],
+    cost: &CostModel,
+    hoist: bool,
+) -> Result<Composition, Vec<Diagnostic>> {
+    check_names(tenants.iter().map(|(name, _, _)| name.as_str()))?;
     // Every tenant must verify on its own mesh before placement.
     let mut errs: Vec<Diagnostic> = Vec::new();
+    let mut certified = Vec::with_capacity(tenants.len());
     for (name, mesh, epochs) in tenants {
-        for mut d in verify_epochs(*mesh, epochs) {
-            if d.is_error() {
-                d.message = format!("tenant '{name}': {}", d.message);
-                errs.push(d);
+        match CertifiedSchedule::certify(*mesh, epochs.clone(), cost, &LintLevels::default()) {
+            Ok(c) => certified.push((name.clone(), Arc::new(c))),
+            Err(verdicts) => {
+                errs.extend(cgra_verify::errors(&verdicts).map(|d| tenant_error(name, d)))
             }
         }
     }
     if !errs.is_empty() {
         return Err(errs);
     }
+    compose_certified(&certified, hoist)
+}
 
-    let rows = tenants.iter().map(|(_, m, _)| m.rows()).max().unwrap_or(1);
-    let cols: usize = tenants.iter().map(|(_, m, _)| m.cols()).sum();
+/// Packs K certified schedules onto one composed fabric.
+///
+/// The tenants are placed into column bands (composed mesh: `max` rows
+/// by `sum` of columns) and each one's epochs, footprint certificate and
+/// Eq. 1 WCET bound are translated onto the composed coordinates. With
+/// `hoist`, each tenant's hoist plan is built there (under the cost
+/// model it was certified with) and its shadow-plane slots join its
+/// certificate. The packing is rejected (`Err` with the findings) if
+/// the list is empty or names a tenant twice, any WCET bound breaks its
+/// epoch budget, any two certificates collide
+/// ([`Code::OverlapConflict`]), or the merged schedule's own footprint
+/// escapes the tenants' union ([`Code::FootprintExceeded`]).
+pub fn compose_certified(
+    tenants: &[(String, Arc<CertifiedSchedule>)],
+    hoist: bool,
+) -> Result<Composition, Vec<Diagnostic>> {
+    check_names(tenants.iter().map(|(name, _)| name.as_str()))?;
+    let rows = tenants
+        .iter()
+        .map(|(_, c)| c.mesh().rows())
+        .max()
+        .unwrap_or(1);
+    let cols: usize = tenants.iter().map(|(_, c)| c.mesh().cols()).sum();
     let composed = Mesh::new(rows, cols.max(1));
     let mut col0 = 0;
     let placements: Vec<Placement> = tenants
         .iter()
-        .map(|(_, m, _)| {
-            let p = Placement { mesh: *m, col0 };
-            col0 += m.cols();
+        .map(|(_, c)| {
+            let p = Placement {
+                mesh: c.mesh(),
+                col0,
+            };
+            col0 += c.mesh().cols();
             p
         })
         .collect();
 
+    let mut errs: Vec<Diagnostic> = Vec::new();
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut out_tenants: Vec<ComposedTenant> = Vec::new();
     let mut bounds: Vec<ScheduleBound> = Vec::new();
-    for ((name, _, epochs), p) in tenants.iter().zip(&placements) {
-        let remapped = remap_epochs(p, composed, name, epochs).map_err(|d| vec![d])?;
-        let specs: Vec<EpochSpec> = remapped.iter().map(epoch_spec).collect();
-        let plan = if hoist {
-            let plan = cgra_lint::plan_hoists(
-                composed,
-                &specs,
-                &cgra_lint::LintLevels::default(),
-                cost,
-                &cgra_lint::HoistOptions::default(),
-            );
-            diags.extend(plan.diags.iter().cloned());
-            Some(plan)
-        } else {
-            None
+    for ((name, c), p) in tenants.iter().zip(&placements) {
+        let Some((tenant, bound)) = c.place(name, composed, p.col0, hoist) else {
+            return Err(vec![Diagnostic::error(
+                Code::FootprintRefused,
+                format!("tenant '{name}' does not fit its placement on the composed mesh"),
+            )]);
         };
-        let shadow = plan.as_ref().map(|p| p.shadow_claims()).unwrap_or_default();
-        let analysis = analyze_footprint_with_shadow(composed, &specs, &shadow);
-        errs.extend(cgra_verify::errors(&analysis.diags).cloned());
-        diags.extend(analysis.diags);
-        let bound = bound_epochs(composed, cost, &remapped);
-        for d in &bound.diags {
-            if d.is_error() {
-                let mut d = d.clone();
-                d.message = format!("tenant '{name}': {}", d.message);
-                errs.push(d);
-            }
+        if let Some(plan) = &tenant.hoist {
+            diags.extend(plan.diags.iter().cloned());
         }
+        diags.push(footprint_summary(&tenant.cert));
+        errs.extend(cgra_verify::errors(&bound.diags).map(|d| tenant_error(name, d)));
         bounds.push(bound);
-        out_tenants.push(ComposedTenant {
-            name: name.clone(),
-            epochs: remapped,
-            cert: analysis.cert,
-            hoist: plan,
-        });
+        out_tenants.push(tenant);
     }
     if !errs.is_empty() {
         return Err(errs);
@@ -367,7 +354,9 @@ mod tests {
         // Tenant 1 presents tenant 0's certificate: footprint
         // re-verification must refuse it (V133), not run it.
         tenants[1].cert = tenants[0].cert.clone();
-        let mut runner = EpochRunner::new(ArraySim::new(comp.mesh), cost);
+        let mut sim = ArraySim::new(comp.mesh);
+        sim.verify = cgra_sim::VerifyMode::Strict;
+        let mut runner = EpochRunner::new(sim, cost);
         let err = runner.run_composed_schedule(&tenants).unwrap_err();
         match err {
             cgra_sim::SimError::Verify(diags) => assert!(

@@ -49,7 +49,7 @@ pub mod schedule;
 pub mod sweep;
 
 pub use cache::{cost_fingerprint, schedule_fingerprint, CacheLookup, SimCache, SimResult};
-pub use compose::{compose_examples, compose_schedules, Composition, Placement};
+pub use compose::{compose_certified, compose_examples, compose_schedules, Composition, Placement};
 pub use fft_dse::{copy_optimization_table, sweep_columns, sweep_link_cost, TauModel};
 pub use jpeg_dse::{evaluate_manual, manual_implementations, rebalance_sweep, Algo};
 pub use pool::{effective_jobs, run_sharded, PoolOutput, WorkerCtx};

@@ -317,7 +317,7 @@ impl Default for HoistOptions {
 /// The hoisting transform for one schedule: applied hoists with their
 /// certificates, refusals, the idle-window map, and the materialized
 /// L008–L010 diagnostics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HoistPlan {
     /// Shadow-plane depth the plan was built for.
     pub shadow_depth: usize,
@@ -397,6 +397,7 @@ pub fn plan_hoists(
     cost: &CostModel,
     opts: &HoistOptions,
 ) -> HoistPlan {
+    cgra_verify::work::tally(cgra_verify::Work::HoistPlan);
     let facts = epoch_facts(mesh, epochs);
     let n = epochs.len();
     let mut fg: Vec<Foreground> = facts
@@ -627,6 +628,7 @@ pub fn verify_hoists(
     plan: &HoistPlan,
     cost: &CostModel,
 ) -> Vec<Diagnostic> {
+    cgra_verify::work::tally(cgra_verify::Work::HoistReproof);
     let mut diags = Vec::new();
     let refuse = |h: &Hoist, msg: String| {
         Diagnostic {

@@ -254,6 +254,7 @@ pub fn lint_schedule(
     levels: &LintLevels,
     cost: &CostModel,
 ) -> LintReport {
+    cgra_verify::work::tally(cgra_verify::Work::LintRun);
     let mut checker = ScheduleChecker::new(mesh);
     let mut state: Vec<Vec<Option<Def>>> = vec![vec![None; DATA_WORDS]; mesh.tiles()];
     let mut last_image: Vec<Option<Vec<u128>>> = vec![None; mesh.tiles()];

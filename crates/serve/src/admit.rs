@@ -10,11 +10,20 @@
 //! submission with the originating `V…`/`L…` diagnostics serialized in
 //! the response — the daemon never invents its own admission codes for
 //! static findings.
+//!
+//! The four analyses run once, inside `CertifiedSchedule::certify`;
+//! the rungs read its verdicts. The certified schedule travels with the
+//! admitted job ([`Admitted::certified`]) so that composition and the
+//! composed runner use these proofs instead of re-deriving them. It is
+//! dropped with the job's pack: nothing of it enters the result store.
+
+use std::sync::Arc;
 
 use cgra_fabric::{CostModel, Mesh};
-use cgra_lint::{lint_schedule, LintLevels};
-use cgra_sim::epoch::{bound_epochs, epoch_spec, verify_epochs, Epoch};
-use cgra_verify::{analyze_footprint, Code, Diagnostic, EpochSpec};
+use cgra_lint::LintLevels;
+use cgra_sim::epoch::Epoch;
+use cgra_sim::CertifiedSchedule;
+use cgra_verify::{Code, Diagnostic};
 
 use crate::proto::{DiagView, ProtoCode, RejectMsg, SubmitRequest};
 use crate::store::StoreKey;
@@ -60,7 +69,7 @@ pub struct Quote {
 }
 
 /// A submission that passed every admission rung: the built schedule,
-/// its store key, and its quote.
+/// its store key, its quote, and the proofs admission certified.
 #[derive(Debug, Clone)]
 pub struct Admitted {
     /// Tenant name.
@@ -77,6 +86,10 @@ pub struct Admitted {
     pub key: StoreKey,
     /// The SLA quote.
     pub quote: Quote,
+    /// The schedule as admission certified it (its own copy of the
+    /// epochs, with the verifier, lint, footprint and WCET proofs).
+    /// Composition places this instead of re-deriving the proofs.
+    pub certified: Arc<CertifiedSchedule>,
 }
 
 fn view(d: &Diagnostic) -> DiagView {
@@ -138,20 +151,19 @@ pub fn admit_schedule(
         ));
     }
 
-    // Rung 1: the schedule verifier.
-    let verdicts = verify_epochs(mesh, &epochs);
-    if cgra_verify::has_errors(&verdicts) {
-        return Err(reject_diags(req, &verdicts));
-    }
-
-    // Rung 2: the inter-epoch lint pass as a deny-gate.
-    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+    // Every analysis runs once, here. Rung 1: the schedule verifier.
     let levels = if req.deny_lint_warnings {
         LintLevels::default().deny_warnings()
     } else {
         LintLevels::default()
     };
-    let lint = lint_schedule(mesh, &specs, &levels, cost);
+    let certified = match CertifiedSchedule::certify(mesh, epochs.clone(), cost, &levels) {
+        Ok(c) => c,
+        Err(verdicts) => return Err(reject_diags(req, &verdicts)),
+    };
+
+    // Rung 2: the inter-epoch lint pass as a deny-gate.
+    let lint = certified.lint();
     if lint.denied() {
         return Err(reject_diags(req, &lint.diags));
     }
@@ -164,11 +176,11 @@ pub fn admit_schedule(
 
     // Rung 3: the footprint certificate — what the tenant may touch,
     // and the per-link word ceilings that price co-residency.
-    let analysis = analyze_footprint(mesh, &specs);
+    let analysis = certified.footprint();
     if cgra_verify::has_errors(&analysis.diags) {
         return Err(reject_diags(req, &analysis.diags));
     }
-    let cert = analysis.cert;
+    let cert = &analysis.cert;
     if let Some(cap) = req.max_tiles {
         if cert.tiles.len() as u64 > cap {
             return Err(reject_one(
@@ -198,7 +210,7 @@ pub fn admit_schedule(
     }
 
     // Rung 4: the Eq. 1 WCET bound becomes the SLA quote.
-    let bound = bound_epochs(mesh, cost, &epochs);
+    let bound = certified.bound();
     if cgra_verify::has_errors(&bound.diags) {
         return Err(reject_diags(req, &bound.diags));
     }
@@ -233,6 +245,15 @@ pub fn admit_schedule(
     }
 
     let key = StoreKey::new(mesh, &epochs, cost, req.hoist);
+    let quote = Quote {
+        quoted_cycles,
+        wcet_best_ns: total.best,
+        wcet_worst_ns,
+        tiles: cert.tiles.len() as u64,
+        links: cert.links.len() as u64,
+        link_words_worst: cert.link_words_worst,
+        lint_warning_codes,
+    };
     Ok(Admitted {
         tenant: req.tenant.clone(),
         schedule: req.schedule.clone(),
@@ -240,15 +261,8 @@ pub fn admit_schedule(
         mesh,
         epochs,
         key,
-        quote: Quote {
-            quoted_cycles,
-            wcet_best_ns: total.best,
-            wcet_worst_ns,
-            tiles: cert.tiles.len() as u64,
-            links: cert.links.len() as u64,
-            link_words_worst: cert.link_words_worst,
-            lint_warning_codes,
-        },
+        quote,
+        certified: Arc::new(certified),
     })
 }
 
@@ -332,6 +346,11 @@ mod tests {
             assert!(a.quote.quoted_cycles > 0, "{name}");
             assert!(a.quote.wcet_worst_ns >= a.quote.wcet_best_ns, "{name}");
             assert!(a.quote.tiles > 0, "{name}");
+            // The certified proofs are the ones the quote was read from.
+            assert!(!cgra_verify::has_errors(a.certified.verdicts()), "{name}");
+            let cert = &a.certified.footprint().cert;
+            assert_eq!(cert.tiles.len() as u64, a.quote.tiles, "{name}");
+            assert_eq!(a.certified.mesh(), a.mesh, "{name}");
         }
     }
 

@@ -6,19 +6,21 @@
 //! onto the same fabric only when they provably cannot stretch the
 //! pack's envelope past the head's own quote — a job with a larger
 //! quoted WCET waits for its own pack rather than delaying someone
-//! else's SLA. Each pack is certified by
-//! [`cgra_explore::compose_schedules`] and executed through the
-//! region-gated `sim::compose` trust boundary under
-//! [`VerifyMode::Strict`], with a telemetry recorder attached; nothing
-//! is reported to a tenant unless the stream passes every conservation
-//! invariant.
+//! else's SLA. Each pack is composed by
+//! [`cgra_explore::compose_certified`] from the proofs admission
+//! certified (translated onto the pack's fabric, not re-derived) and
+//! executed through the region-gated `sim::compose` trust boundary
+//! under [`VerifyMode::Strict`], which trusts those proofs while they
+//! cover the tenants exactly, with a telemetry recorder attached;
+//! nothing is reported to a tenant unless the stream passes every
+//! conservation invariant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cgra_explore::compose_schedules;
+use cgra_explore::{compose_certified, Composition};
 use cgra_fabric::CostModel;
 use cgra_sim::{ArraySim, EpochRunner, Recorder, SimError, VerifyMode};
 use cgra_telemetry::conservation_violations;
@@ -227,17 +229,11 @@ fn execute_batch(batch: Vec<Job>, cost: &CostModel, store: &ResultStore, stats: 
         return;
     }
     let hoist = batch[0].admitted.hoist;
-    let tenants: Vec<(String, cgra_fabric::Mesh, Vec<cgra_sim::Epoch>)> = batch
+    let tenants: Vec<_> = batch
         .iter()
-        .map(|j| {
-            (
-                j.admitted.tenant.clone(),
-                j.admitted.mesh,
-                j.admitted.epochs.clone(),
-            )
-        })
+        .map(|j| (j.admitted.tenant.clone(), Arc::clone(&j.admitted.certified)))
         .collect();
-    let comp = match compose_schedules(&tenants, cost, hoist) {
+    let comp = match compose_certified(&tenants, hoist) {
         Ok(c) => c,
         Err(diags) => {
             if batch.len() > 1 {
@@ -266,12 +262,22 @@ fn execute_batch(batch: Vec<Job>, cost: &CostModel, store: &ResultStore, stats: 
         }
     };
 
-    let mut sim = ArraySim::new(comp.mesh);
+    // Only the fabric and the placed tenants are needed from here on;
+    // the merged static view and the bounds are dropped before the run.
+    let Composition {
+        mesh,
+        tenants,
+        merged,
+        bounds,
+        ..
+    } = comp;
+    drop((merged, bounds));
+    let mut sim = ArraySim::new(mesh);
     sim.verify = VerifyMode::Strict;
     let recorder = Recorder::new();
     sim.attach_sink(Box::new(recorder.clone()));
     let mut runner = EpochRunner::new(sim, *cost);
-    let report = match runner.run_composed_schedule(&comp.tenants) {
+    let report = match runner.run_composed_schedule(&tenants) {
         Ok(r) => r,
         Err(SimError::Verify(diags)) => {
             let code = diags
@@ -293,10 +299,15 @@ fn execute_batch(batch: Vec<Job>, cost: &CostModel, store: &ResultStore, stats: 
         }
     };
     runner.sim.detach_sink();
+    // The fabric and the pack go before the stream is checked, and the
+    // stream is moved out rather than copied: the pack's peak memory is
+    // its run's alone.
+    drop(runner);
+    drop(tenants);
 
     // The conservation gate: a stream that does not conserve is a
     // simulator defect, and no tenant result may be built from it.
-    let violations = conservation_violations(&recorder.events());
+    let violations = conservation_violations(&recorder.take());
     if !violations.is_empty() {
         fail_batch(
             batch,
@@ -345,13 +356,22 @@ mod tests {
     use std::sync::mpsc::channel;
 
     fn job(id: u64, tenant: &str, schedule: &str) -> (Job, Receiver<JobOutcome>) {
+        hoisted_job(id, tenant, schedule, false)
+    }
+
+    fn hoisted_job(
+        id: u64,
+        tenant: &str,
+        schedule: &str,
+        hoist: bool,
+    ) -> (Job, Receiver<JobOutcome>) {
         let cost = CostModel::default();
         let (mesh, epochs) = build_example_schedule(schedule).unwrap();
         let admitted = admit_schedule(
             &SubmitRequest {
                 tenant: tenant.into(),
                 schedule: schedule.into(),
-                hoist: false,
+                hoist,
                 max_tiles: None,
                 max_wcet_ns: None,
                 deny_lint_warnings: false,
@@ -445,5 +465,61 @@ mod tests {
         assert_eq!(stats.executed.load(Ordering::Relaxed), 2);
         assert_eq!(stats.packs.load(Ordering::Relaxed), 1);
         assert_eq!(store.len(), 2, "both outcomes stored");
+    }
+
+    /// Certify once: a cold 3-tenant pack, admitted and executed on
+    /// this thread, runs the checker, the lint pass, the footprint
+    /// derivation and the WCET bound once per submission (plus the one
+    /// pack-level containment footprint) and plans each hoist once;
+    /// composition and the composed runner re-derive nothing.
+    #[test]
+    fn a_cold_pack_certifies_each_submission_once() {
+        use cgra_verify::work;
+        let cost = CostModel::default();
+        let names = ["fft-64", "jpeg-stream", "fft-16"];
+        let epochs: u64 = names
+            .iter()
+            .map(|n| build_example_schedule(n).unwrap().1.len() as u64)
+            .sum();
+        let before = work::snapshot();
+        let (jobs, replies): (Vec<Job>, Vec<_>) = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| hoisted_job(i as u64, &format!("t{i}"), n, true))
+            .unzip();
+        let admitted = work::snapshot();
+        let store = ResultStore::in_memory();
+        let stats = PoolStats::default();
+        execute_batch(jobs, &cost, &store, &stats);
+        let total = work::snapshot().since(&before);
+        let after_admission = work::snapshot().since(&admitted);
+        for rx in replies {
+            match rx.recv().unwrap() {
+                JobOutcome::Done(r) => assert_eq!(r.batch_tenants, 3, "the pack was composed"),
+                other => panic!("{other:?}"),
+            }
+        }
+        let n = names.len() as u64;
+        assert_eq!(
+            total,
+            work::WorkCounts {
+                checked_epochs: epochs,
+                lint_runs: n,
+                footprint_derives: n + 1,
+                footprint_reproofs: 0,
+                wcet_bounds: n,
+                hoist_plans: n,
+                hoist_reproofs: 0,
+            }
+        );
+        assert_eq!(
+            after_admission,
+            work::WorkCounts {
+                footprint_derives: 1,
+                hoist_plans: n,
+                ..work::WorkCounts::default()
+            },
+            "past admission only the hoist plans and the pack's containment check run"
+        );
     }
 }

@@ -638,7 +638,7 @@ impl EpochRunner {
         let start = self.sim.now;
         let prev = self.prev_links.clone();
         let payloads = payloads(epoch, 0, None)?;
-        let sw = self.switch(epoch_idx, &prev, &epoch.links, payloads, Some(progs))?;
+        let sw = self.switch(epoch_idx, &prev, &epoch.links, payloads, progs, true)?;
         self.sim.set_links(epoch.links.clone())?;
         self.prev_links = epoch.links.clone();
 

@@ -1,0 +1,277 @@
+//! Certify once: a schedule's static proofs as a value that travels.
+//!
+//! [`CertifiedSchedule::certify`] is the one place a schedule's four
+//! static proofs are built — the schedule verifier's verdicts, the
+//! inter-epoch lint report, the footprint certificate and the Eq. 1
+//! WCET bound — each by one analysis walk. Its fields are private, so a
+//! `CertifiedSchedule` holds exactly what that constructor derived from
+//! the epochs it owns.
+//!
+//! Admission (`cgra-serve`) certifies each cold submission once.
+//! Composition (`cgra-explore`) then *places* the certified schedule
+//! into a column band of the composed fabric
+//! ([`CertifiedSchedule::place`]): the epochs, the footprint
+//! certificate and the bound are translated through the placement —
+//! translation moves tiles, not work — and only the hoist plan, which
+//! depends on the composed coordinates, is built there. The placed
+//! [`ComposedTenant`] carries a [`TenantProof`], which
+//! [`EpochRunner::run_composed_schedule`] trusts instead of re-proving
+//! when it covers exactly the epochs, certificate and plan the tenant
+//! holds (compared by value, never by hash). Anything else — a
+//! hand-built tenant, or one edited after placement — is re-derived at
+//! the runner's full gate, as are schedules that arrive over the wire,
+//! from disk, or as raw `(mesh, epochs)` handles: those are certified
+//! afresh, never trusted.
+//!
+//! [`EpochRunner::run_composed_schedule`]: crate::EpochRunner::run_composed_schedule
+
+use std::sync::Arc;
+
+use cgra_fabric::{CostModel, LinkConfig, Mesh, TileId};
+use cgra_lint::{default_level, HoistOptions, HoistPlan, LintLevel, LintLevels, LintReport};
+use cgra_verify::{
+    analyze_footprint, Diagnostic, EpochSpec, FootprintAnalysis, FootprintCertificate,
+    ScheduleBound, ScheduleChecker,
+};
+
+use crate::compose::ComposedTenant;
+use crate::epoch::{bound_epochs, check_epochs, epoch_spec, Epoch};
+
+/// A schedule together with the static proofs certified for it on its
+/// own mesh. Only [`CertifiedSchedule::certify`] makes one.
+#[derive(Debug)]
+pub struct CertifiedSchedule {
+    mesh: Mesh,
+    cost: CostModel,
+    epochs: Vec<Epoch>,
+    verdicts: Vec<Diagnostic>,
+    checker: ScheduleChecker,
+    lint: LintReport,
+    /// The lint report clears the runner's cold lint gate: nothing was
+    /// denied at levels that deny at least what the default levels deny.
+    clears_default_lint: bool,
+    footprint: FootprintAnalysis,
+    bound: ScheduleBound,
+}
+
+impl CertifiedSchedule {
+    /// Certifies `epochs` for a cold array on `mesh`: runs the schedule
+    /// verifier, the lint pass at `levels`, the footprint derivation and
+    /// the WCET bound ([`bound_epochs`], priced under `cost`) once each,
+    /// and keeps every verdict.
+    ///
+    /// A schedule the verifier rejects is refused with the verifier's
+    /// findings (warnings included): nothing past the verifier is
+    /// meaningful on a malformed schedule. Every later verdict is kept
+    /// as found — a lint denial or a bound error does not refuse, so
+    /// each caller applies its own policy to it.
+    pub fn certify(
+        mesh: Mesh,
+        epochs: Vec<Epoch>,
+        cost: &CostModel,
+        levels: &LintLevels,
+    ) -> Result<CertifiedSchedule, Vec<Diagnostic>> {
+        let mut checker = ScheduleChecker::new(mesh);
+        let verdicts = check_epochs(&mut checker, &epochs);
+        if cgra_verify::has_errors(&verdicts) {
+            return Err(verdicts);
+        }
+        let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+        let lint = cgra_lint::lint_schedule(mesh, &specs, levels, cost);
+        let clears_default_lint = !lint.denied()
+            && cgra_lint::LINT_CODES
+                .iter()
+                .all(|&c| default_level(c) != LintLevel::Deny || levels.get(c) == LintLevel::Deny);
+        let footprint = analyze_footprint(mesh, &specs);
+        drop(specs);
+        let bound = bound_epochs(mesh, cost, &epochs);
+        Ok(CertifiedSchedule {
+            mesh,
+            cost: *cost,
+            epochs,
+            verdicts,
+            checker,
+            lint,
+            clears_default_lint,
+            footprint,
+            bound,
+        })
+    }
+
+    /// The mesh the schedule was certified on.
+    pub fn mesh(&self) -> Mesh {
+        self.mesh
+    }
+
+    /// The schedule verifier's findings (warnings only: a schedule with
+    /// verifier errors is never certified).
+    pub fn verdicts(&self) -> &[Diagnostic] {
+        &self.verdicts
+    }
+
+    /// The lint report, at the levels the schedule was certified under.
+    pub fn lint(&self) -> &LintReport {
+        &self.lint
+    }
+
+    /// The footprint certificate and its V130 summary.
+    pub fn footprint(&self) -> &FootprintAnalysis {
+        &self.footprint
+    }
+
+    /// The Eq. 1 WCET bound, with its deadline findings.
+    pub fn bound(&self) -> &ScheduleBound {
+        &self.bound
+    }
+
+    /// Places the schedule in the column band of `composed` that starts
+    /// at column `col0` and returns the tenant `name` ready for
+    /// [`crate::EpochRunner::run_composed_schedule`], with the bound on
+    /// the composed coordinates.
+    ///
+    /// The epochs, the footprint certificate and the bound are
+    /// translated, not re-derived; the bound's findings move their
+    /// `tile` fields, while their message text keeps naming tiles in the
+    /// schedule's own numbering. With `hoist`, the hoist
+    /// plan is built once on the composed coordinates (default lint
+    /// levels and planner options, this schedule's cost model) and its
+    /// shadow-plane claims are folded into the certificate. The tenant
+    /// carries a [`TenantProof`] of all of it. `None` when the band does
+    /// not fit the composed mesh.
+    pub fn place(
+        self: &Arc<Self>,
+        name: &str,
+        composed: Mesh,
+        col0: usize,
+        hoist: bool,
+    ) -> Option<(ComposedTenant, ScheduleBound)> {
+        if self.mesh.rows() > composed.rows() || col0 + self.mesh.cols() > composed.cols() {
+            return None;
+        }
+        let map = band(self.mesh, composed, col0);
+        let epochs = self
+            .epochs
+            .iter()
+            .map(|e| place_epoch(e, composed, &map))
+            .collect::<Option<Vec<Epoch>>>()?;
+        let plan = hoist.then(|| {
+            let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+            cgra_lint::plan_hoists(
+                composed,
+                &specs,
+                &LintLevels::default(),
+                &self.cost,
+                &HoistOptions::default(),
+            )
+        });
+        let shadow = plan.as_ref().map(|p| p.shadow_claims()).unwrap_or_default();
+        let cert = self.footprint.cert.translated(composed, &map, &shadow)?;
+        let mut bound = self.bound.clone();
+        for d in &mut bound.diags {
+            d.tile = d.tile.and_then(&map);
+        }
+        let proof = TenantProof {
+            certified: Arc::clone(self),
+            mesh: composed,
+            col0,
+            cert: cert.clone(),
+            hoist: plan.clone(),
+        };
+        let tenant = ComposedTenant {
+            name: name.to_string(),
+            epochs,
+            cert,
+            hoist: plan,
+            proof: Some(proof),
+        };
+        Some((tenant, bound))
+    }
+}
+
+/// The tile map of a column band: tile `t` of `own` lands at the same
+/// row, `col0` columns to the right, on `composed`.
+fn band(own: Mesh, composed: Mesh, col0: usize) -> impl Fn(TileId) -> Option<TileId> {
+    move |t| {
+        let (r, c) = own.coords(t).ok()?;
+        composed.id(r, col0 + c).ok()
+    }
+}
+
+/// One epoch moved onto `composed` through `map`: setups move to the
+/// band's tiles, links keep their directions (the band is a contiguous
+/// rectangle, so every verified in-mesh link stays in-band).
+fn place_epoch(e: &Epoch, composed: Mesh, map: impl Fn(TileId) -> Option<TileId>) -> Option<Epoch> {
+    let setups = e
+        .setups
+        .iter()
+        .map(|(t, s)| Some((map(*t)?, s.clone())))
+        .collect::<Option<Vec<_>>>()?;
+    Some(Epoch {
+        name: e.name.clone(),
+        links: place_links(&e.links, composed, map)?,
+        setups,
+        budget: e.budget,
+    })
+}
+
+/// A link configuration moved onto `composed` through `map`.
+fn place_links(
+    links: &LinkConfig,
+    composed: Mesh,
+    map: impl Fn(TileId) -> Option<TileId>,
+) -> Option<LinkConfig> {
+    let mut placed = composed.disconnected();
+    for (t, dir) in links.iter_active() {
+        placed.set(map(t)?, Some(dir));
+    }
+    Some(placed)
+}
+
+/// The proof a placed tenant carries: its certified schedule, where it
+/// was placed, and the certificate and hoist plan built for it there.
+/// Only [`CertifiedSchedule::place`] makes one.
+#[derive(Debug, Clone)]
+pub struct TenantProof {
+    certified: Arc<CertifiedSchedule>,
+    mesh: Mesh,
+    col0: usize,
+    cert: FootprintCertificate,
+    hoist: Option<HoistPlan>,
+}
+
+impl TenantProof {
+    /// True when this proof vouches for `t` on a runner over `mesh`
+    /// pricing with `cost`: same fabric and cost model as the proof,
+    /// a lint verdict that clears the runner's gate, and exactly the
+    /// epochs (the certified ones, translated), certificate and hoist
+    /// plan the proof was placed with — compared by value.
+    pub(crate) fn covers(&self, t: &ComposedTenant, mesh: Mesh, cost: &CostModel) -> bool {
+        let c = &*self.certified;
+        let map = band(c.mesh, self.mesh, self.col0);
+        self.mesh == mesh
+            && c.cost == *cost
+            && c.clears_default_lint
+            && t.cert == self.cert
+            && t.hoist == self.hoist
+            && t.epochs.len() == c.epochs.len()
+            && t.epochs.iter().zip(&c.epochs).all(|(e, own)| {
+                e.name == own.name
+                    && e.budget == own.budget
+                    && e.setups.len() == own.setups.len()
+                    && e.setups
+                        .iter()
+                        .zip(&own.setups)
+                        .all(|((tile, s), (own_tile, own_s))| {
+                            map(*own_tile) == Some(*tile) && s == own_s
+                        })
+                    && place_links(&own.links, mesh, &map).is_some_and(|l| l == e.links)
+            })
+    }
+
+    /// Carries the certified checker state onto `checker` through the
+    /// placement: what feeding it the placed epochs would have left.
+    pub(crate) fn graft_onto(&self, checker: &mut ScheduleChecker) {
+        let c = &*self.certified;
+        checker.graft(&c.checker, band(c.mesh, self.mesh, self.col0));
+    }
+}

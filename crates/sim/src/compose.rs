@@ -2,14 +2,23 @@
 //!
 //! [`EpochRunner::run_composed_schedule`] runs K verified tenant
 //! schedules side by side on one fabric. Soundness rests entirely on
-//! the footprint certificates (`cgra_verify::footprint`): before
-//! anything is applied, every tenant's [`FootprintCertificate`] is
-//! strictly re-derived from its epochs (a refused certificate aborts
-//! with `V133`), every hoist plan is re-proved, and the certificates
-//! are checked pairwise disjoint (`V132`). Disjointness is what makes
-//! the merged run *per-tenant bit-exact*: no tile, link, dmem word or
-//! shadow slot is shared, so each region executes cycle-for-cycle as it
-//! would alone.
+//! the footprint certificates (`cgra_verify::footprint`) and on the
+//! tenants' schedules having been verified and linted on a cold array.
+//! A tenant placed by `CertifiedSchedule::place` carries a
+//! [`TenantProof`] of all of that, built once at certification; the
+//! runner trusts it, without re-deriving anything, when it covers
+//! exactly the epochs, certificate and hoist plan the tenant holds
+//! (compared by value) on this fabric, cost model and a fresh runner.
+//! Every other tenant — hand-built, or edited after placement — passes
+//! the full gate before anything is applied: its [`FootprintCertificate`]
+//! is strictly re-derived from its epochs (a refused certificate aborts
+//! with `V133`), its hoist plan is re-proved, it passes the cold lint
+//! gate, and each of its epochs is checked before it runs. Whatever the
+//! tenants carry, the certificates are checked pairwise disjoint
+//! (`V132`) and every merged epoch is enforced against them at run
+//! time. Disjointness is what makes the merged run *per-tenant
+//! bit-exact*: no tile, link, dmem word or shadow slot is shared, so
+//! each region executes cycle-for-cycle as it would alone.
 //!
 //! Reconfiguration is **region-gated**: each tenant owns a
 //! configuration port, so at a merged switch point every region streams
@@ -19,6 +28,8 @@
 //! of the tenants overlap each other as well as the surviving
 //! computation.
 
+use crate::active::ProgramCache;
+use crate::certify::TenantProof;
 use crate::engine::{SimError, VerifyMode};
 use crate::epoch::{epoch_spec, gate, payloads, Epoch, EpochRunner, Hoisting, RunReport, Switch};
 use cgra_fabric::TileId;
@@ -28,8 +39,8 @@ use cgra_verify::{
 
 /// One tenant of a composed run: a verified schedule already remapped
 /// onto the composed mesh, its footprint certificate on those
-/// coordinates, and (optionally) a hoisting plan proved on the same
-/// coordinates.
+/// coordinates, (optionally) a hoisting plan proved on the same
+/// coordinates, and (optionally) the proof that vouches for all three.
 #[derive(Debug, Clone)]
 pub struct ComposedTenant {
     /// Tenant name (used in merged epoch names and diagnostics).
@@ -37,12 +48,18 @@ pub struct ComposedTenant {
     /// The tenant's schedule, in composed-mesh coordinates.
     pub epochs: Vec<Epoch>,
     /// The tenant's fabric footprint, in composed-mesh coordinates.
-    /// Re-verified against `epochs` before anything runs.
+    /// Re-verified against `epochs` before anything runs, unless
+    /// `proof` covers it.
     pub cert: FootprintCertificate,
     /// Optional reconfiguration-hoisting plan (shadow-plane prefetch),
     /// proved on the same coordinates. Its shadow slots are part of the
     /// certified footprint.
     pub hoist: Option<cgra_lint::HoistPlan>,
+    /// The certification this tenant was placed from
+    /// (`CertifiedSchedule::place`); `None` for a hand-built tenant.
+    /// Only trusted while it covers `epochs`, `cert` and `hoist`
+    /// exactly — a tenant edited after placement is fully re-gated.
+    pub proof: Option<TenantProof>,
 }
 
 impl ComposedTenant {
@@ -53,7 +70,7 @@ impl ComposedTenant {
 }
 
 /// Per-tenant outcome of a composed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantOutcome {
     /// Tenant name.
     pub name: String,
@@ -75,7 +92,7 @@ pub struct TenantOutcome {
 }
 
 /// What a composed run returns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComposedReport {
     /// Merged epochs executed (the longest tenant's epoch count).
     pub merged_epochs: usize,
@@ -92,11 +109,16 @@ impl EpochRunner {
     /// their footprint certificates.
     ///
     /// Under any verify mode other than [`VerifyMode::Off`], before
-    /// anything is applied: each certificate is re-derived from the
-    /// tenant's epochs ([`Code::FootprintRefused`] aborts), each hoist
-    /// plan is re-proved (`cgra_lint::verify_hoists`), each tenant
-    /// passes the cold inter-epoch lint gate, and the certificates are
-    /// checked pairwise disjoint ([`Code::OverlapConflict`] aborts).
+    /// anything is applied, every tenant that is not covered by its
+    /// [`TenantProof`] (on this mesh and cost model, with no epoch run
+    /// on this runner yet) passes the full gate: its certificate is
+    /// re-derived from its epochs ([`Code::FootprintRefused`] aborts),
+    /// its hoist plan is re-proved (`cgra_lint::verify_hoists`), it
+    /// passes the cold inter-epoch lint gate, and each of its epochs is
+    /// checked before it runs. A covered tenant's proofs stand; its
+    /// certified checker state is carried onto the runner's checker.
+    /// All certificates are checked pairwise disjoint
+    /// ([`Code::OverlapConflict`] aborts).
     ///
     /// Execution zips the tenants' epochs by index. Each region's
     /// configuration port streams its own payloads, so a region stalls
@@ -112,10 +134,22 @@ impl EpochRunner {
         tenants: &[ComposedTenant],
     ) -> Result<ComposedReport, SimError> {
         let mesh = self.sim.mesh;
+        // The proofs that cover their tenants; the rest are re-gated.
+        let fresh = self.epochs_run == 0 && self.checker.epochs_seen() == 0;
+        let trusted: Vec<Option<&TenantProof>> = tenants
+            .iter()
+            .map(|t| {
+                let gated = self.sim.verify != VerifyMode::Off && fresh;
+                let cost = &self.cost;
+                t.proof
+                    .as_ref()
+                    .filter(|p| gated && p.covers(t, mesh, cost))
+            })
+            .collect();
         // --- certificate gate: nothing is applied past this block ---
         if self.sim.verify != VerifyMode::Off {
             let mut errs: Vec<Diagnostic> = Vec::new();
-            for t in tenants {
+            for (t, _) in tenants.iter().zip(&trusted).filter(|(_, p)| p.is_none()) {
                 let specs: Vec<EpochSpec> = t.epochs.iter().map(epoch_spec).collect();
                 if let Some(plan) = &t.hoist {
                     let refused = cgra_lint::verify_hoists(mesh, &specs, plan, &self.cost);
@@ -135,6 +169,9 @@ impl EpochRunner {
             let disjoint = check_disjoint(&parts, None);
             errs.extend(self.record(disjoint));
             gate(errs)?;
+            for p in trusted.iter().flatten() {
+                p.graft_onto(&mut self.checker);
+            }
         }
 
         let n = tenants.len();
@@ -158,6 +195,7 @@ impl EpochRunner {
         let merged_epochs = tenants.iter().map(|t| t.epochs.len()).max().unwrap_or(0);
         let base = self.epochs_run;
         let run_start = self.sim.now;
+        let mut progs = ProgramCache::new();
         let mut outcomes: Vec<TenantOutcome> = tenants
             .iter()
             .map(|t| TenantOutcome {
@@ -170,13 +208,15 @@ impl EpochRunner {
             .collect();
 
         for j in 0..merged_epochs {
-            // Strict per-tenant verification, threading the checker's
-            // initialized-memory state (regions are tile-disjoint, so
-            // interleaving the tenants is per-tile equivalent to
-            // checking each alone).
+            // Strict verification of each untrusted tenant, threading
+            // the checker's initialized-memory state (regions are
+            // tile-disjoint, so interleaving the tenants is per-tile
+            // equivalent to checking each alone).
             let mut errs: Vec<Diagnostic> = Vec::new();
-            for e in tenants.iter().filter_map(|t| t.epochs.get(j)) {
-                errs.extend(self.check(e));
+            for (t, _) in tenants.iter().zip(&trusted).filter(|(_, p)| p.is_none()) {
+                if let Some(e) = t.epochs.get(j) {
+                    errs.extend(self.check(e));
+                }
             }
             gate(errs)?;
             let merged_name: String = tenants
@@ -199,7 +239,7 @@ impl EpochRunner {
                 };
                 budget = budget.max(e.budget);
                 let payloads = payloads(e, j, hoists[i].as_mut())?;
-                let sw = self.switch(epoch_idx, &prev[i], &e.links, payloads, None)?;
+                let sw = self.switch(epoch_idx, &prev[i], &e.links, payloads, &mut progs, false)?;
                 for &tile in &sw.stalled {
                     self.sim.stall_tile(tile, sw.stall_cycles);
                 }
@@ -370,6 +410,7 @@ mod tests {
             epochs,
             cert,
             hoist: None,
+            proof: None,
         }
     }
 
@@ -447,6 +488,7 @@ mod tests {
         // Forge the certificate: claim one tile fewer than the schedule uses.
         b.cert.tiles.pop();
         let mut sim = ArraySim::new(mesh);
+        sim.verify = VerifyMode::Strict;
         seed(&mut sim, 0, 7);
         seed(&mut sim, 2, 40);
         let mut runner = EpochRunner::new(sim, CostModel::with_link_cost(100.0));
@@ -471,6 +513,7 @@ mod tests {
         // beta claims tile 1 too: its copy runs 1 -> 2.
         let b = copy_tenant(mesh, "beta", 1, 2, 4);
         let mut sim = ArraySim::new(mesh);
+        sim.verify = VerifyMode::Strict;
         seed(&mut sim, 0, 7);
         seed(&mut sim, 1, 40);
         let mut runner = EpochRunner::new(sim, CostModel::with_link_cost(100.0));

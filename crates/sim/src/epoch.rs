@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Reconfiguration payload for one tile in an epoch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TileSetup {
     /// New program (assembled instructions), if the tile's code changes.
     pub program: Option<Vec<Instr>>,
@@ -38,7 +38,7 @@ pub struct TileSetup {
 }
 
 /// One epoch: interconnect + the tiles it reconfigures.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Epoch {
     /// Human-readable name for traces.
     pub name: String,
@@ -71,7 +71,11 @@ pub fn epoch_spec(e: &Epoch) -> EpochSpec<'_> {
 /// without running anything. Returns every finding; filter with
 /// [`cgra_verify::has_errors`] to gate execution.
 pub fn verify_epochs(mesh: Mesh, epochs: &[Epoch]) -> Vec<Diagnostic> {
-    let mut checker = ScheduleChecker::new(mesh);
+    check_epochs(&mut ScheduleChecker::new(mesh), epochs)
+}
+
+/// Feeds `epochs` to `checker` in order and returns every finding.
+pub(crate) fn check_epochs(checker: &mut ScheduleChecker, epochs: &[Epoch]) -> Vec<Diagnostic> {
     epochs
         .iter()
         .flat_map(|e| checker.check_epoch(&epoch_spec(e)))
@@ -143,7 +147,7 @@ pub struct EpochReport {
 }
 
 /// Whole-run accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Per-epoch breakdown.
     pub epochs: Vec<EpochReport>,
@@ -360,18 +364,23 @@ impl EpochRunner {
     /// (foreground slots, shadow-plane commits, or a parsed bitstream).
     /// The foreground plan streams the link delta plus the payloads not
     /// committed from the shadow plane and sets the switch time; every
-    /// touched tile is reported stalled. Programs load through
-    /// [`ArraySim::load_program`], or — when `progs` is given — through
-    /// its verify memo and decode cache, arming the decoded programs
-    /// for the class stepper. The caller stalls the rewritten tiles (or
-    /// accounts the stall head in one batch) and installs the links.
+    /// touched tile is reported stalled. Programs load through `progs`'
+    /// verify memo — under any verify mode other than
+    /// [`VerifyMode::Off`] each distinct image is verified the first
+    /// time the memo sees it, so a run that loads one image many times
+    /// fails on the same first load with the same error as verifying
+    /// every load — and, when `arm` is set, through its decode cache,
+    /// arming the decoded programs for the class stepper. The caller
+    /// stalls the rewritten tiles (or accounts the stall head in one
+    /// batch) and installs the links.
     pub(crate) fn switch(
         &mut self,
         epoch: usize,
         prev: &LinkConfig,
         links: &LinkConfig,
         payloads: Vec<Payload>,
-        mut progs: Option<&mut ProgramCache>,
+        progs: &mut ProgramCache,
+        arm: bool,
     ) -> Result<Switch, SimError> {
         if let Some((tile, ..)) = payloads.iter().find(|(t, ..)| *t >= self.sim.tiles.len()) {
             return Err(FabricError::UnknownTile { tile: *tile }.into());
@@ -399,19 +408,14 @@ impl EpochRunner {
         let mut armed = HashMap::new();
         for (t, rc, hoisted) in &payloads {
             if let Some(img) = &rc.program {
-                match progs.as_deref_mut() {
-                    // Verify each distinct image at most once, decode it
-                    // at most once.
-                    Some(cache) => {
-                        if self.sim.verify != VerifyMode::Off && !cache.is_verified(img) {
-                            self.sim.verify_image(img)?;
-                            cache.mark_verified(img);
-                        }
-                        self.sim.tiles[*t].load_program(img)?;
-                        self.sim.states[*t].soft_reset();
-                        armed.insert(*t, cache.decode_image(img));
-                    }
-                    None => self.sim.load_program(*t, img)?,
+                if self.sim.verify != VerifyMode::Off && !progs.is_verified(img) {
+                    self.sim.verify_image(img)?;
+                    progs.mark_verified(img);
+                }
+                self.sim.tiles[*t].load_program(img)?;
+                self.sim.states[*t].soft_reset();
+                if arm {
+                    armed.insert(*t, progs.decode_image(img));
                 }
             }
             for patch in &rc.data_patches {
@@ -523,17 +527,19 @@ impl EpochRunner {
 
     /// One epoch on the serial stepper: switch the whole fabric, stall
     /// only the rewritten tiles (the rest keep computing), step the
-    /// array to quiescence, close.
+    /// array to quiescence, close. `progs` is the run's image verify
+    /// memo.
     fn serial_epoch(
         &mut self,
         name: &str,
         links: LinkConfig,
         payloads: Vec<Payload>,
         budget: u64,
+        progs: &mut ProgramCache,
     ) -> Result<EpochReport, SimError> {
         let epoch = self.begin(name);
         let prev = self.prev_links.clone();
-        let sw = self.switch(epoch, &prev, &links, payloads, None)?;
+        let sw = self.switch(epoch, &prev, &links, payloads, progs, false)?;
         for &t in &sw.stalled {
             self.sim.stall_tile(t, sw.stall_cycles);
         }
@@ -551,23 +557,31 @@ impl EpochRunner {
     /// the epochs this runner has executed); error findings abort the
     /// switch before anything is applied.
     pub fn run_epoch(&mut self, epoch: &Epoch) -> Result<EpochReport, SimError> {
-        self.run_hoisted_epoch(epoch, 0, None)
+        self.run_hoisted_epoch(epoch, 0, None, &mut ProgramCache::new())
     }
 
     /// [`EpochRunner::run_epoch`] for schedule epoch `j`, its hoisted
-    /// slots committing from `hoist`'s shadow plane. The checker sees
-    /// the *original* epoch: a commit is the same write at the same
-    /// point, so legality and the threaded may-init state are those of
-    /// the unhoisted schedule.
+    /// slots committing from `hoist`'s shadow plane and its images
+    /// verified through the run's memo `progs`. The checker sees the
+    /// *original* epoch: a commit is the same write at the same point,
+    /// so legality and the threaded may-init state are those of the
+    /// unhoisted schedule.
     fn run_hoisted_epoch(
         &mut self,
         epoch: &Epoch,
         j: usize,
         hoist: Option<&mut Hoisting>,
+        progs: &mut ProgramCache,
     ) -> Result<EpochReport, SimError> {
         gate(self.check(epoch))?;
         let payloads = payloads(epoch, j, hoist)?;
-        self.serial_epoch(&epoch.name, epoch.links.clone(), payloads, epoch.budget)
+        self.serial_epoch(
+            &epoch.name,
+            epoch.links.clone(),
+            payloads,
+            epoch.budget,
+            progs,
+        )
     }
 
     /// Runs an epoch whose reconfiguration arrives as a serialized partial
@@ -589,7 +603,8 @@ impl EpochRunner {
             links.set(*t, *d);
         }
         let payloads = parsed.plan.tiles.into_iter().map(|(t, rc)| (t, rc, false));
-        self.serial_epoch(name, links, payloads.collect(), budget)
+        let progs = &mut ProgramCache::new();
+        self.serial_epoch(name, links, payloads.collect(), budget, progs)
     }
 
     /// Runs a whole schedule.
@@ -608,9 +623,13 @@ impl EpochRunner {
         self.run_serial(epochs)
     }
 
-    /// The serial epoch loop, past the schedule-level gates.
+    /// The serial epoch loop, past the schedule-level gates; each
+    /// distinct program image is verified once per run.
     pub(crate) fn run_serial(&mut self, epochs: &[Epoch]) -> Result<RunReport, SimError> {
-        let epochs = epochs.iter().map(|e| self.run_epoch(e));
+        let progs = &mut ProgramCache::new();
+        let epochs = epochs
+            .iter()
+            .map(|e| self.run_hoisted_epoch(e, 0, None, progs));
         Ok(RunReport {
             epochs: epochs.collect::<Result<_, _>>()?,
         })
@@ -661,9 +680,10 @@ impl EpochRunner {
         gate(self.cold_lint_gate(epochs))?;
         let base = self.epochs_run;
         let mut hoist = Hoisting::new(plan, self.sim.mesh.tiles());
+        let progs = &mut ProgramCache::new();
         let mut report = RunReport::default();
         for (j, e) in epochs.iter().enumerate() {
-            let rep = self.run_hoisted_epoch(e, j, Some(&mut hoist))?;
+            let rep = self.run_hoisted_epoch(e, j, Some(&mut hoist), progs)?;
             report.epochs.push(rep);
             self.stage_hoists(epochs, &mut hoist, j, base)?;
         }

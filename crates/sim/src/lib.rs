@@ -12,6 +12,11 @@
 //!   stepping independence classes in parallel — bit-exact with the
 //!   serial engine, with automatic serial fallback on a refused
 //!   certificate,
+//! * [`certify`] — [`CertifiedSchedule`]: a schedule's verifier, lint,
+//!   footprint and WCET proofs built once and carried as a value, and
+//!   placed onto a composed fabric by translation,
+//! * [`compose`] — co-resident execution of certified tenants on one
+//!   fabric,
 //! * [`trace`] — per-tile activity traces with ASCII Gantt rendering,
 //! * [`lint`] — whole-schedule `cgra-lint` integration: the inter-epoch
 //!   lifetime/redundancy pass over [`Epoch`] schedules and the auto-fix
@@ -26,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod active;
+pub mod certify;
 pub mod compose;
 pub mod engine;
 pub mod epoch;
@@ -33,6 +39,7 @@ pub mod lint;
 pub mod trace;
 
 pub use active::{schedule_key, DecodedProgram, EventOptions, ProgramCache, VerifiedSchedule};
+pub use certify::{CertifiedSchedule, TenantProof};
 pub use cgra_telemetry::{Event, EventSink, Recorder};
 pub use compose::{ComposedReport, ComposedTenant, TenantOutcome};
 pub use engine::{ArraySim, SimError, TileStats, VerifyMode};

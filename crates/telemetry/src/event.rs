@@ -229,6 +229,13 @@ impl Recorder {
         self.buf.borrow().clone()
     }
 
+    /// Moves every event recorded so far out, in arrival order, and
+    /// leaves the buffer empty — [`Recorder::events`] without the copy,
+    /// for a reader that is done with the run.
+    pub fn take(&self) -> Vec<Event> {
+        std::mem::take(&mut *self.buf.borrow_mut())
+    }
+
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
         self.buf.borrow().len()

@@ -262,6 +262,15 @@ pub fn analyze_footprint_with_shadow(
     epochs: &[EpochSpec],
     shadow: &[ShadowClaim],
 ) -> FootprintAnalysis {
+    crate::work::tally(crate::work::Work::FootprintDerive);
+    let cert = derive(mesh, epochs, shadow);
+    let diags = vec![footprint_summary(&cert)];
+    FootprintAnalysis { cert, diags }
+}
+
+/// The certificate derivation shared by [`analyze_footprint_with_shadow`]
+/// and the re-proof in [`verify_footprint`].
+fn derive(mesh: Mesh, epochs: &[EpochSpec], shadow: &[ShadowClaim]) -> FootprintCertificate {
     let mut checker = ScheduleChecker::new(mesh);
     let mut cache = BoundCache::new();
     let mut acc = TileAcc::new();
@@ -269,28 +278,84 @@ pub fn analyze_footprint_with_shadow(
     for (ei, e) in epochs.iter().enumerate() {
         epoch_footprint(mesh, ei, e, &mut checker, &mut cache, &mut acc, &mut links);
     }
-    // A staged payload occupies its tile's shadow plane: the tile is
-    // part of the footprint even before its commit epoch reconfigures
-    // it (it always will — hoists target real rewrites).
-    let mut shadow: Vec<ShadowClaim> = shadow.to_vec();
-    shadow.sort_by_key(|c| (c.tile, c.target));
-    for c in &shadow {
-        if c.tile < mesh.tiles() {
-            acc.entry(c.tile);
-        }
-    }
     links.sort_by_key(|c| (c.epoch, c.from, c.to));
     let link_words_worst = links
         .iter()
         .try_fold(0u64, |sum, c| c.words.worst.map(|w| sum + w));
-    let cert = FootprintCertificate {
+    let mut cert = FootprintCertificate {
         epochs: epochs.len(),
         tiles: acc.tiles,
         links,
-        shadow,
+        shadow: Vec::new(),
         link_words_worst,
     };
-    let diags = vec![Diagnostic::warning(
+    cert.fold_shadow(mesh, shadow);
+    cert
+}
+
+impl FootprintCertificate {
+    /// Folds shadow-plane claims in: a staged payload occupies its
+    /// tile's shadow plane, so the tile is part of the footprint even
+    /// before its commit epoch reconfigures it (it always will — hoists
+    /// target real rewrites).
+    fn fold_shadow(&mut self, mesh: Mesh, shadow: &[ShadowClaim]) {
+        self.shadow = shadow.to_vec();
+        self.shadow.sort_by_key(|c| (c.tile, c.target));
+        for c in &self.shadow {
+            if c.tile >= mesh.tiles() {
+                continue;
+            }
+            if let Err(at) = self.tiles.binary_search_by_key(&c.tile, |tf| tf.tile) {
+                self.tiles.insert(at, TileFootprint::empty(c.tile));
+            }
+        }
+    }
+
+    /// This certificate moved onto `mesh` through `map`, with `shadow`'s
+    /// slot tags (already in `mesh` coordinates) folded in — equal to
+    /// [`analyze_footprint_with_shadow`] over the moved schedule, since
+    /// every claim is per tile or per directed link and translation
+    /// moves tiles, not work. `None` when `map` drops a claimed tile.
+    /// The certificate must carry no shadow claims of its own.
+    pub fn translated(
+        &self,
+        mesh: Mesh,
+        map: impl Fn(TileId) -> Option<TileId>,
+        shadow: &[ShadowClaim],
+    ) -> Option<FootprintCertificate> {
+        let mut tiles = self
+            .tiles
+            .iter()
+            .map(|tf| map(tf.tile).map(|tile| TileFootprint { tile, ..*tf }))
+            .collect::<Option<Vec<_>>>()?;
+        tiles.sort_by_key(|tf| tf.tile);
+        let mut links = self
+            .links
+            .iter()
+            .map(|c| {
+                Some(LinkClaim {
+                    from: map(c.from)?,
+                    to: map(c.to)?,
+                    ..*c
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        links.sort_by_key(|c| (c.epoch, c.from, c.to));
+        let mut cert = FootprintCertificate {
+            epochs: self.epochs,
+            tiles,
+            links,
+            shadow: Vec::new(),
+            link_words_worst: self.link_words_worst,
+        };
+        cert.fold_shadow(mesh, shadow);
+        Some(cert)
+    }
+}
+
+/// The informational V130 finding describing what `cert` proves.
+pub fn footprint_summary(cert: &FootprintCertificate) -> Diagnostic {
+    Diagnostic::warning(
         Code::Footprint,
         format!(
             "footprint: {} tiles ({} programmed), {} directed link-epoch claims \
@@ -305,8 +370,7 @@ pub fn analyze_footprint_with_shadow(
             cert.shadow.len(),
             cert.epochs,
         ),
-    )];
-    FootprintAnalysis { cert, diags }
+    )
 }
 
 /// Independently re-derives every claim of `cert` from scratch (fresh
@@ -321,6 +385,7 @@ pub fn verify_footprint(
     shadow: &[ShadowClaim],
     cert: &FootprintCertificate,
 ) -> Vec<Diagnostic> {
+    crate::work::tally(crate::work::Work::FootprintReproof);
     let mut diags = Vec::new();
     let mut refuse = |msg: String| {
         diags.push(Diagnostic::error(Code::FootprintRefused, msg));
@@ -335,7 +400,7 @@ pub fn verify_footprint(
         return diags;
     }
 
-    let fresh = analyze_footprint_with_shadow(mesh, epochs, shadow).cert;
+    let fresh = derive(mesh, epochs, shadow);
     if cert.tiles != fresh.tiles {
         let claimed: Vec<TileId> = cert.tiles.iter().map(|t| t.tile).collect();
         let derived: Vec<TileId> = fresh.tiles.iter().map(|t| t.tile).collect();

@@ -66,6 +66,7 @@ pub mod races;
 pub mod schedule;
 pub mod term;
 pub mod timing;
+pub mod work;
 
 pub use activity::{
     analyze_activity, verify_activity, ActivityAnalysis, ActivityCertificate, ActivityInterval,
@@ -77,8 +78,8 @@ pub use diag::{errors, has_errors, Code, Diagnostic, Severity};
 pub use dmem::{ConstMap, DmemSummary, WordSet};
 pub use footprint::{
     analyze_footprint, analyze_footprint_with_shadow, check_contained, check_disjoint,
-    verify_footprint, FootprintAnalysis, FootprintCertificate, LinkClaim, ShadowClaim,
-    TileFootprint,
+    footprint_summary, verify_footprint, FootprintAnalysis, FootprintCertificate, LinkClaim,
+    ShadowClaim, TileFootprint,
 };
 pub use program::{analyze_program, verify_program, verify_program_with, DmemInit, VerifyOptions};
 pub use races::{check_epoch_races, TileEffects};
@@ -89,3 +90,4 @@ pub use timing::{
     bound_program, bound_schedule, bound_schedule_with, BoundCache, CycleInterval, EpochBound,
     LoopBound, NsInterval, ProgramBound, ScheduleBound,
 };
+pub use work::{Work, WorkCounts};

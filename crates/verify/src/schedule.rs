@@ -129,6 +129,27 @@ impl ScheduleChecker {
         self.init.get(tile).is_some_and(|s| s.contains(addr))
     }
 
+    /// Carries another checker's cross-epoch state over: every tile `t`
+    /// of `from`'s mesh that `map` places lands on tile `map(t)` of this
+    /// checker with `from`'s may-initialized words, known constants and
+    /// programmed flag, and this checker counts `from`'s epochs as seen.
+    ///
+    /// The state is per tile, so checking a schedule on its own mesh and
+    /// grafting the result through a placement leaves exactly the state
+    /// checking the placed schedule here would — provided no other
+    /// schedule fed to this checker touches the placed tiles.
+    pub fn graft(&mut self, from: &ScheduleChecker, map: impl Fn(TileId) -> Option<TileId>) {
+        for t in 0..from.mesh.tiles() {
+            let Some(u) = map(t).filter(|&u| u < self.mesh.tiles()) else {
+                continue;
+            };
+            self.init[u] = from.init[t];
+            self.consts[u] = from.consts[t].clone();
+            self.programmed[u] = from.programmed[t];
+        }
+        self.epoch += from.epoch;
+    }
+
     /// How many epochs have been fed to the checker so far.
     pub fn epochs_seen(&self) -> usize {
         self.epoch
@@ -136,6 +157,7 @@ impl ScheduleChecker {
 
     /// Checks the next epoch and advances the cross-epoch state.
     pub fn check_epoch(&mut self, e: &EpochSpec) -> Vec<Diagnostic> {
+        crate::work::tally(crate::work::Work::CheckedEpoch);
         self.analyze_epoch(e).diags
     }
 

@@ -1272,6 +1272,7 @@ pub fn bound_schedule_with(
     epochs: &[EpochSpec],
     cache: &mut BoundCache,
 ) -> ScheduleBound {
+    crate::work::tally(crate::work::Work::WcetBound);
     let mut checker = ScheduleChecker::new(mesh);
     let mut prev_links = mesh.disconnected();
     let mut out = ScheduleBound {

@@ -5,12 +5,18 @@
 //! tenant inside its own Eq. 1 WCET envelope. Fabricated certificates
 //! and seeded overlaps must be refused before a single cycle runs.
 
-use remorph::explore::{build_example_schedule, compose_examples};
+use remorph::explore::{build_example_schedule, compose_examples, EXAMPLE_SCHEDULES};
 use remorph::fabric::mem::DATA_WORDS;
 use remorph::fabric::{CostModel, Mesh, TileId};
-use remorph::sim::{epoch_spec, ArraySim, ComposedTenant, EpochRunner, SimError, VerifyMode};
+use remorph::sim::{
+    bound_epochs, epoch_spec, ArraySim, ComposedReport, ComposedTenant, EpochRunner, Recorder,
+    SimError, VerifyMode,
+};
 use remorph::telemetry::{conservation_violations, Counters, Event};
-use remorph::verify::{analyze_footprint, Code, EpochSpec};
+use remorph::verify::{
+    analyze_footprint, analyze_footprint_with_shadow, work, Code, Diagnostic, EpochSpec,
+    ScheduleBound,
+};
 
 const PACK: [&str; 3] = ["fft-64", "jpeg-stream", "fft-1024"];
 
@@ -285,12 +291,14 @@ fn seeded_overlap_is_rejected_naming_resource_and_both_tenants() {
         epochs: epochs.clone(),
         cert: cert.clone(),
         hoist: None,
+        proof: None,
     };
     let beta = ComposedTenant {
         name: "beta".to_string(),
         epochs,
         cert,
         hoist: None,
+        proof: None,
     };
     let mut runner = strict_runner(mesh, &cost);
     match runner.run_composed_schedule(&[alpha, beta]) {
@@ -314,4 +322,193 @@ fn seeded_overlap_is_rejected_naming_resource_and_both_tenants() {
         other => panic!("want Verify(V132), got {other:?}"),
     }
     assert_eq!(runner.sim.now, 0, "overlap must be refused before running");
+}
+
+/// Every pair and every triple of example schedules, in catalog order.
+fn example_packs() -> Vec<Vec<&'static str>> {
+    let mut packs = Vec::new();
+    for (i, &a) in EXAMPLE_SCHEDULES.iter().enumerate() {
+        for (j, &b) in EXAMPLE_SCHEDULES.iter().enumerate().skip(i + 1) {
+            packs.push(vec![a, b]);
+            for &c in EXAMPLE_SCHEDULES.iter().skip(j + 1) {
+                packs.push(vec![a, b, c]);
+            }
+        }
+    }
+    packs
+}
+
+/// One strict composed run with a recorder attached: the report (or
+/// refusal), the summary stream, the sink stream, the cycles run, and
+/// the analyses the runner performed.
+type Observed = (
+    Result<ComposedReport, SimError>,
+    Vec<Event>,
+    Vec<Event>,
+    u64,
+    work::WorkCounts,
+);
+
+fn observe(mesh: Mesh, cost: &CostModel, tenants: &[ComposedTenant]) -> Observed {
+    let mut runner = strict_runner(mesh, cost);
+    let recorder = Recorder::new();
+    runner.sim.attach_sink(Box::new(recorder.clone()));
+    let before = work::snapshot();
+    let rep = runner.run_composed_schedule(tenants);
+    let done = work::snapshot().since(&before);
+    runner.sim.detach_sink();
+    (
+        rep,
+        runner.events().to_vec(),
+        recorder.events(),
+        runner.sim.now,
+        done,
+    )
+}
+
+/// The same tenants with their proofs stripped: what a hand-built
+/// pack looks like to the runner.
+fn hand_built(tenants: &[ComposedTenant]) -> Vec<ComposedTenant> {
+    tenants
+        .iter()
+        .map(|t| ComposedTenant {
+            proof: None,
+            ..t.clone()
+        })
+        .collect()
+}
+
+/// The proof-carrying path is an optimization, never a semantic fork:
+/// for every example pair and triple, hoisted and not, the tenants
+/// composition hands out run to the same `ComposedReport` and the same
+/// summary and sink event streams as hand-built copies that pass the
+/// runner's full gate — and the runner re-derives nothing for them.
+/// Each tenant's translated certificate and bound equal the ones
+/// derived afresh on the composed coordinates.
+#[test]
+fn proof_carrying_packs_match_the_full_gate_for_every_pair_and_triple() {
+    let cost = CostModel::default();
+    for names in example_packs() {
+        for hoist in [false, true] {
+            let what = format!("{names:?} hoist={hoist}");
+            let comp = compose_examples(&names, &cost, hoist)
+                .unwrap_or_else(|d| panic!("{what}: pack composes: {d:?}"));
+            for (k, t) in comp.tenants.iter().enumerate() {
+                let specs: Vec<EpochSpec> = t.epochs.iter().map(epoch_spec).collect();
+                let shadow = t
+                    .hoist
+                    .as_ref()
+                    .map(|p| p.shadow_claims())
+                    .unwrap_or_default();
+                let fresh = analyze_footprint_with_shadow(comp.mesh, &specs, &shadow).cert;
+                assert_eq!(t.cert, fresh, "{what}: tenant '{}' certificate", t.name);
+                // Findings keep their text, which names tiles in the
+                // tenant's own numbering; everything else is equal.
+                let bound = bound_epochs(comp.mesh, &cost, &t.epochs);
+                let untexted = |b: &ScheduleBound| ScheduleBound {
+                    diags: b
+                        .diags
+                        .iter()
+                        .map(|d| Diagnostic {
+                            message: String::new(),
+                            ..d.clone()
+                        })
+                        .collect(),
+                    ..b.clone()
+                };
+                assert_eq!(
+                    untexted(&comp.bounds[k]),
+                    untexted(&bound),
+                    "{what}: tenant '{}' bound",
+                    t.name
+                );
+            }
+
+            let (rep, summary, sink, now, trusted) = observe(comp.mesh, &cost, &comp.tenants);
+            let rep = rep.unwrap_or_else(|e| panic!("{what}: certified pack runs: {e}"));
+            let full = observe(comp.mesh, &cost, &hand_built(&comp.tenants));
+            let full_rep = full
+                .0
+                .unwrap_or_else(|e| panic!("{what}: full gate runs: {e}"));
+            assert_eq!(rep, full_rep, "{what}: composed reports differ");
+            assert_eq!(summary, full.1, "{what}: summary streams differ");
+            assert_eq!(sink, full.2, "{what}: sink streams differ");
+            assert_eq!(now, full.3, "{what}: cycles differ");
+
+            assert_eq!(
+                trusted,
+                work::WorkCounts::default(),
+                "{what}: the runner re-derived a covered proof"
+            );
+            assert!(
+                full.4.footprint_reproofs == names.len() as u64
+                    && full.4.lint_runs == names.len() as u64
+                    && full.4.checked_epochs > 0,
+                "{what}: the full gate re-derives every tenant: {:?}",
+                full.4
+            );
+        }
+    }
+}
+
+/// A certified tenant edited after composition is no longer covered by
+/// its proof: it is refused exactly like the same edit on a hand-built
+/// tenant, before a single cycle runs. A borrowed certificate is still
+/// V133.
+#[test]
+fn edited_certified_tenants_are_refused_like_uncertified_ones() {
+    let cost = CostModel::default();
+    let comp = compose_examples(&["fft-64", "jpeg-stream"], &cost, true).expect("pack composes");
+    let claimed = |tile: TileId| comp.tenants.iter().any(|t| t.cert.claims_tile(tile));
+    let stray = (0..comp.mesh.tiles())
+        .find(|&t| !claimed(t))
+        .expect("the composed mesh has an unclaimed tile");
+
+    // A setup on a tile no certificate claims.
+    let mut added = comp.tenants.clone();
+    let (_, setup) = added[0].epochs[1].setups[0].clone();
+    added[0].epochs[1].setups.push((stray, setup));
+    // A program swapped for another epoch's.
+    let mut swapped = comp.tenants.clone();
+    let other = swapped[1]
+        .epochs
+        .iter()
+        .flat_map(|e| e.setups.iter())
+        .filter_map(|(_, s)| s.program.clone())
+        .next_back()
+        .expect("jpeg-stream loads programs");
+    let slot = swapped[1].epochs[0]
+        .setups
+        .iter_mut()
+        .find(|(_, s)| s.program.is_some())
+        .expect("epoch 0 loads a program");
+    slot.1.program = Some(other);
+
+    for (edited, what) in [(added, "added setup"), (swapped, "swapped program")] {
+        assert!(edited.iter().all(|t| t.proof.is_some()));
+        let (rep, summary, _, now, done) = observe(comp.mesh, &cost, &edited);
+        let (bare, bare_summary, _, bare_now, _) = observe(comp.mesh, &cost, &hand_built(&edited));
+        let (Err(SimError::Verify(diags)), Err(SimError::Verify(bare_diags))) = (&rep, &bare)
+        else {
+            panic!("{what}: want refusals, got {rep:?} and {bare:?}");
+        };
+        assert_eq!(
+            diags, bare_diags,
+            "{what}: refused differently from the hand-built tenant"
+        );
+        assert!(
+            diags.iter().any(|d| d.code == Code::FootprintRefused),
+            "{what}: want V133, got {diags:?}"
+        );
+        assert_eq!((now, bare_now), (0, 0), "{what}: something ran");
+        assert_eq!(summary, bare_summary, "{what}: event streams differ");
+        assert!(
+            done.footprint_reproofs > 0,
+            "{what}: the edit was not re-proved"
+        );
+    }
+
+    let mut borrowed = comp.tenants.clone();
+    borrowed[1].cert = comp.tenants[0].cert.clone();
+    expect_refused(comp.mesh, &borrowed, "borrowed certificate");
 }

@@ -174,6 +174,7 @@ fn out_of_range_patch_is_an_error_not_a_panic() {
         epochs: vec![epoch],
         cert,
         hoist: None,
+        proof: None,
     };
     let mut composed = runner(mesh, VerifyMode::Off);
     assert_unknown_tile(

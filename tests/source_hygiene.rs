@@ -86,6 +86,8 @@ fn activity_analysis_and_event_core_are_scanned() {
         "crates/sim/src/compose.rs",
         // The single epoch-switch path both of those run through.
         "crates/sim/src/epoch.rs",
+        // The certified-schedule proofs the composed runner trusts.
+        "crates/sim/src/certify.rs",
     ] {
         let path = root.join(file);
         assert!(
