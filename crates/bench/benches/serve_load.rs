@@ -7,19 +7,30 @@
 //! percentiles (via `telemetry::hist`), the deterministic cache hit
 //! rate, and the warm-over-cold speedup, and gates on the acceptance
 //! floor: warm throughput at least 2x cold.
+//!
+//! An admission series rides along: per example schedule, the median
+//! and MAD of a cold `CertifiedSchedule::certify` over a fixed repeat
+//! count, with the exact number of schedule walks and program analyses
+//! one certify makes (one walk, two analyses per loaded slot).
 
 use std::time::{Duration, Instant};
 
-use cgra_bench::{banner, check, f, json_head};
+use cgra_bench::{banner, check, f, json_head, time_reps};
 use cgra_explore::build_example_schedule;
 use cgra_fabric::CostModel;
+use cgra_lint::LintLevels;
 use cgra_serve::{
     admit_schedule, AdmitLimits, JobOutcome, JobResult, Response, ServeConfig, Server,
     SubmitRequest,
 };
+use cgra_sim::CertifiedSchedule;
 use cgra_telemetry::Hist;
+use cgra_verify::work;
 
 const FABRICS: usize = 2;
+
+/// Timed repetitions of each schedule's cold certify.
+const CERTIFY_REPS: usize = 15;
 
 fn submit(tenant: String, schedule: &str) -> SubmitRequest {
     SubmitRequest {
@@ -77,6 +88,31 @@ fn hist_of(results: &[JobResult]) -> Hist {
         h.record(r.turnaround_host_ns);
     }
     h
+}
+
+/// One schedule's admission-series entry: the certify timing plus the
+/// walk counts of a single cold certify, as a JSON object.
+fn admission_entry(name: &str, cost: &CostModel) -> String {
+    let (mesh, epochs) = build_example_schedule(name).expect("known schedule");
+    let certify = || {
+        CertifiedSchedule::certify(mesh, epochs.clone(), cost, &LintLevels::default())
+            .expect("example schedules certify")
+    };
+    let before = work::walk_snapshot();
+    certify();
+    let walked = work::walk_snapshot().since(&before);
+    check(
+        &format!("{name}: a cold certify walks the schedule once"),
+        walked.schedule_walks == 1,
+    );
+    let s = time_reps(&format!("certify {name}"), CERTIFY_REPS, || {
+        certify();
+    });
+    format!(
+        "{{\"name\": \"{name}\", \"reps\": {}, \"walks\": {}, \"program_analyses\": {}, \
+         \"certify_median_ns\": {:.1}, \"certify_mad_ns\": {:.1}}}",
+        s.reps, walked.schedule_walks, walked.program_analyses, s.median_ns, s.mad_ns
+    )
 }
 
 fn main() {
@@ -207,9 +243,17 @@ fn main() {
             h.p99()
         )
     };
+    server.shutdown();
+
+    println!("\n  admission (cold certify, one schedule walk):");
+    let admission: Vec<String> = cgra_explore::EXAMPLE_SCHEDULES
+        .iter()
+        .map(|name| admission_entry(name, &cost))
+        .collect();
+
     let json = format!(
         "{}  \"fabrics\": {FABRICS},\n  \"tenants\": [{}],\n  \"cold\": {},\n  \"warm\": {},\n  \
-         \"warm_speedup\": {:.4},\n  \"cache_hit_rate\": {:.4}\n}}\n",
+         \"warm_speedup\": {:.4},\n  \"cache_hit_rate\": {:.4},\n  \"admission\": [\n    {}\n  ]\n}}\n",
         json_head(),
         order
             .iter()
@@ -219,10 +263,10 @@ fn main() {
         phase_json(cold_wall, &cold_hist, Some(stats.packs)),
         phase_json(warm_wall, &warm_hist, None),
         warm_speedup,
-        hit_rate
+        hit_rate,
+        admission.join(",\n    ")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(path, json).expect("BENCH_serve.json is writable");
     println!("\n  wrote {path}");
-    server.shutdown();
 }

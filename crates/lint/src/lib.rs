@@ -64,4 +64,4 @@ pub use overlap::{
     hoisted_bound, plan_hoists, verify_hoists, Claim, ClaimProof, Hoist, HoistCertificate,
     HoistOptions, HoistPlan, IdleWindow, Refusal, Segment,
 };
-pub use pass::{lint_schedule, LintReport, Removal, TransitionSavings};
+pub use pass::{lint_schedule, LintPass, LintReport, Removal, TransitionSavings};

@@ -63,9 +63,10 @@
 //! replay is bit-exact (DESIGN.md Sec. 13).
 
 use crate::level::LintLevels;
-use cgra_fabric::{CostModel, Mesh, TileId};
+use cgra_fabric::{CostModel, LinkConfig, Mesh, TileId};
 use cgra_verify::{
-    BoundCache, Code, Diagnostic, EpochSpec, ScheduleBound, ScheduleChecker, Severity,
+    walk_schedule, BoundCache, Code, Diagnostic, EpochAnalysis, EpochPass, EpochSpec,
+    ScheduleBound, Severity,
 };
 
 /// How a tile spends one epoch, as far as the static analysis can prove.
@@ -103,14 +104,28 @@ struct EpochFacts {
 /// One analysis pass over the schedule: verifier state threaded across
 /// epochs, WCET bounds per loaded program, payload sizes per slot.
 fn epoch_facts(mesh: Mesh, epochs: &[EpochSpec]) -> Vec<EpochFacts> {
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut cache = BoundCache::new();
-    let mut prev_links = mesh.disconnected();
-    let mut out = Vec::with_capacity(epochs.len());
-    for e in epochs {
-        let links_changed = prev_links.delta(e.links);
-        prev_links = e.links.clone();
-        let mut busy = vec![TileBusy::Untouched; mesh.tiles()];
+    let mut pass = FactsPass {
+        mesh,
+        prev_links: mesh.disconnected(),
+        facts: Vec::with_capacity(epochs.len()),
+    };
+    walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut pass]);
+    pass.facts
+}
+
+/// The hoist planner's pass on the schedule walk: one [`EpochFacts`]
+/// per epoch.
+struct FactsPass {
+    mesh: Mesh,
+    prev_links: LinkConfig,
+    facts: Vec<EpochFacts>,
+}
+
+impl EpochPass for FactsPass {
+    fn epoch(&mut self, _: usize, e: &EpochSpec, analysis: &EpochAnalysis, cache: &mut BoundCache) {
+        let links_changed = self.prev_links.delta(e.links);
+        self.prev_links = e.links.clone();
+        let mut busy = vec![TileBusy::Untouched; self.mesh.tiles()];
         let slots: Vec<SlotPayload> = e
             .tiles
             .iter()
@@ -121,7 +136,7 @@ fn epoch_facts(mesh: Mesh, epochs: &[EpochSpec]) -> Vec<EpochFacts> {
             })
             .collect();
         for spec in &e.tiles {
-            if spec.tile >= mesh.tiles() {
+            if spec.tile >= self.mesh.tiles() {
                 continue;
             }
             if spec.program.is_some() {
@@ -130,7 +145,6 @@ fn epoch_facts(mesh: Mesh, epochs: &[EpochSpec]) -> Vec<EpochFacts> {
                 busy[spec.tile] = TileBusy::PatchOnly;
             }
         }
-        let analysis = checker.analyze_epoch(e);
         let mut compute_best = 0u64;
         for ta in &analysis.tiles {
             let pb = cache.bound(ta.prog, &ta.opts);
@@ -141,14 +155,13 @@ fn epoch_facts(mesh: Mesh, epochs: &[EpochSpec]) -> Vec<EpochFacts> {
                 };
             }
         }
-        out.push(EpochFacts {
+        self.facts.push(EpochFacts {
             slots,
             links_changed,
             compute_best,
             busy,
         });
     }
-    out
 }
 
 /// Foreground (non-hoisted) switch content of one epoch.

@@ -1,7 +1,8 @@
 //! The whole-schedule lint pass.
 //!
-//! [`lint_schedule`] walks an epoch schedule once, carrying a per-tile,
-//! per-word *definition* state across epochs:
+//! [`lint_schedule`] walks an epoch schedule once ([`LintPass`] on
+//! [`cgra_verify::walk_schedule`]), carrying a per-tile, per-word
+//! *definition* state across epochs:
 //!
 //! * every write is a **definition** tagged with its producer kind — an
 //!   ICAP data patch, a local program store, or an inbound `T_copy`
@@ -33,9 +34,12 @@
 //! preserves every intermediate memory state, not just the final one.
 
 use crate::level::LintLevels;
-use cgra_fabric::{CostModel, Mesh, TileId, TransitionBreakdown, DATA_WORDS};
+use cgra_fabric::{CostModel, LinkConfig, Mesh, TileId, TransitionBreakdown, DATA_WORDS};
 use cgra_isa::encode_program;
-use cgra_verify::{Cfg, Code, Diagnostic, EpochSpec, ScheduleChecker};
+use cgra_verify::{
+    walk_schedule, BoundCache, Cfg, Code, Diagnostic, EpochAnalysis, EpochPass, EpochSpec,
+    ScheduleChecker,
+};
 
 /// Who produced the value a data-memory word currently holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +110,7 @@ impl TransitionSavings {
 }
 
 /// Everything one lint run over a schedule produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LintReport {
     /// Materialized findings (allowed lints are already dropped).
     pub diags: Vec<Diagnostic>,
@@ -247,45 +251,126 @@ fn kill_and_define(
 /// Runs the whole-schedule lint pass. The schedule is assumed to already
 /// pass [`cgra_verify::verify_schedule`] — lint findings on a schedule
 /// the verifier rejects are not meaningful (overlapping patches, illegal
-/// links and unknown tiles are skipped here, not re-reported).
+/// links and unknown tiles are skipped here, not re-reported). This is
+/// the [`LintPass`] run alone on the schedule walk.
 pub fn lint_schedule(
     mesh: Mesh,
     epochs: &[EpochSpec],
     levels: &LintLevels,
     cost: &CostModel,
 ) -> LintReport {
-    cgra_verify::work::tally(cgra_verify::Work::LintRun);
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut state: Vec<Vec<Option<Def>>> = vec![vec![None; DATA_WORDS]; mesh.tiles()];
-    let mut last_image: Vec<Option<Vec<u128>>> = vec![None; mesh.tiles()];
-    let mut prev_links = mesh.disconnected();
-    let mut report = LintReport {
-        diags: Vec::new(),
-        removals: Vec::new(),
-        transitions: Vec::with_capacity(epochs.len()),
-        cost: *cost,
-    };
+    let mut pass = LintPass::new(mesh, levels, cost);
+    walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut pass]);
+    pass.finish()
+}
 
-    for (ei, e) in epochs.iter().enumerate() {
-        // --- Transition decomposition (before minimization). -------------
-        let mut before = TransitionBreakdown {
+/// The lint pass on the schedule walk: carries the definition state
+/// across epochs and reads the checker's pre-epoch known values for the
+/// reconfiguration-diff minimizer. [`LintPass::finish`] counts one
+/// [`cgra_verify::Work::LintRun`].
+#[derive(Debug)]
+pub struct LintPass<'l> {
+    mesh: Mesh,
+    levels: &'l LintLevels,
+    /// Per tile, per word: the live definition, if any.
+    state: Vec<Vec<Option<Def>>>,
+    /// Per tile: the last program image loaded.
+    last_image: Vec<Option<Vec<u128>>>,
+    prev_links: LinkConfig,
+    /// The epoch switch in progress: its breakdown before minimization
+    /// and the patch words found removable, from `before_epoch`.
+    before: TransitionBreakdown,
+    removed_here: usize,
+    report: LintReport,
+}
+
+impl<'l> LintPass<'l> {
+    /// A lint pass for a cold array on `mesh` at `levels`, pricing its
+    /// savings under `cost`.
+    pub fn new(mesh: Mesh, levels: &'l LintLevels, cost: &CostModel) -> LintPass<'l> {
+        LintPass {
+            mesh,
+            levels,
+            state: vec![vec![None; DATA_WORDS]; mesh.tiles()],
+            last_image: vec![None; mesh.tiles()],
+            prev_links: mesh.disconnected(),
+            before: TransitionBreakdown::default(),
+            removed_here: 0,
+            report: LintReport {
+                diags: Vec::new(),
+                removals: Vec::new(),
+                transitions: Vec::new(),
+                cost: *cost,
+            },
+        }
+    }
+
+    /// The report over every epoch walked, with the end-of-schedule
+    /// findings (patched words nothing ever consumed).
+    pub fn finish(self) -> LintReport {
+        cgra_verify::work::tally(cgra_verify::Work::LintRun);
+        let LintPass {
+            levels,
+            state,
+            mut report,
+            ..
+        } = self;
+        // The report outlives the walk (a certified schedule keeps it):
+        // hand back no growth slack.
+        report.transitions.shrink_to_fit();
+        let last_epoch = report.transitions.len().saturating_sub(1);
+        for (t, words) in state.iter().enumerate() {
+            let mut kills = Vec::new();
+            for (addr, d) in words.iter().enumerate() {
+                if let Some(d) = d {
+                    if d.kind == DefKind::Patch && !d.read {
+                        kills.push(Kill {
+                            addr,
+                            code: Code::DeadInit,
+                            def: *d,
+                        });
+                    }
+                }
+            }
+            // Stores and inbound copies surviving unread are the schedule's
+            // outputs — never flagged. Range-compress and rewrite the message
+            // for the end-of-schedule flavour.
+            let mut diags = Vec::new();
+            emit_kills(&mut diags, levels, kills, t, last_epoch);
+            for mut d in diags {
+                if let Some((span, _)) = d.message.split_once(':') {
+                    d.message = format!("{span}: patched but never read by any program");
+                }
+                d.epoch = None;
+                report.diags.push(d);
+            }
+        }
+        report
+    }
+}
+
+impl EpochPass for LintPass<'_> {
+    /// Transition decomposition, and patches — redundancy and kills —
+    /// against the pre-epoch state.
+    fn before_epoch(&mut self, ei: usize, e: &EpochSpec, checker: &ScheduleChecker) {
+        let (mesh, levels, cost) = (self.mesh, self.levels, self.report.cost);
+        self.before = TransitionBreakdown {
             data_words: 0,
             instr_words: 0,
-            links: prev_links.delta(e.links),
+            links: self.prev_links.delta(e.links),
         };
-        prev_links = e.links.clone();
-        let mut removed_here = 0usize;
+        self.prev_links = e.links.clone();
+        self.removed_here = 0;
 
-        // --- Patches: redundancy + kills, against the pre-epoch state. ---
         for (slot, spec) in e.tiles.iter().enumerate() {
             let t = spec.tile;
             if t >= mesh.tiles() {
                 continue;
             }
-            before.instr_words += spec.program.map_or(0, <[_]>::len);
+            self.before.instr_words += spec.program.map_or(0, <[_]>::len);
             let mut kills = Vec::new();
             for (pi, p) in spec.data_patches.iter().enumerate() {
-                before.data_words += p.len();
+                self.before.data_words += p.len();
                 if p.base + p.len() > DATA_WORDS {
                     continue; // verifier error; nothing sound to say here
                 }
@@ -298,8 +383,8 @@ pub fn lint_schedule(
                         // state is deliberately left untouched (the word
                         // neither gains nor loses a pending value).
                         redundant += 1;
-                        removed_here += 1;
-                        report.removals.push(Removal {
+                        self.removed_here += 1;
+                        self.report.removals.push(Removal {
                             epoch: ei,
                             slot,
                             tile: t,
@@ -308,12 +393,12 @@ pub fn lint_schedule(
                             value,
                         });
                     } else {
-                        kill_and_define(&mut state[t], &mut kills, addr, DefKind::Patch, ei);
+                        kill_and_define(&mut self.state[t], &mut kills, addr, DefKind::Patch, ei);
                     }
                 }
                 if redundant > 0 {
                     if let Some(sev) = levels.severity(Code::RedundantPatch) {
-                        report.diags.push(
+                        self.report.diags.push(
                             Diagnostic {
                                 severity: sev,
                                 ..Diagnostic::error(
@@ -333,16 +418,19 @@ pub fn lint_schedule(
                     }
                 }
             }
-            emit_kills(&mut report.diags, levels, kills, t, ei);
+            emit_kills(&mut self.report.diags, levels, kills, t, ei);
         }
+    }
 
-        // --- Advance the verifier state and collect effect summaries. ----
-        let analysis = checker.analyze_epoch(e);
-
+    /// Configuration-diff lints, then reads, inbound copies and stores
+    /// against the definition state, from the epoch's effect summaries.
+    fn epoch(&mut self, ei: usize, e: &EpochSpec, analysis: &EpochAnalysis, _: &mut BoundCache) {
+        let (mesh, levels, cost) = (self.mesh, self.levels, self.report.cost);
+        let (state, report) = (&mut self.state, &mut self.report);
         // --- Configuration-diff lints on the loaded programs. ------------
         for ta in &analysis.tiles {
             let image = encode_program(ta.prog);
-            if last_image[ta.tile].as_ref() == Some(&image) {
+            if self.last_image[ta.tile].as_ref() == Some(&image) {
                 if let Some(sev) = levels.severity(Code::RedundantReload) {
                     report.diags.push(
                         Diagnostic {
@@ -363,7 +451,7 @@ pub fn lint_schedule(
                     );
                 }
             }
-            last_image[ta.tile] = Some(image);
+            self.last_image[ta.tile] = Some(image);
             if ta.summary.is_some() {
                 let cfg = Cfg::build(ta.prog);
                 let reachable = cfg.reachable();
@@ -461,45 +549,16 @@ pub fn lint_schedule(
         }
 
         let after = TransitionBreakdown {
-            data_words: before.data_words - removed_here,
-            ..before
+            data_words: self.before.data_words - self.removed_here,
+            ..self.before
         };
         report.transitions.push(TransitionSavings {
             epoch: ei,
             name: e.name.to_string(),
-            before,
+            before: self.before,
             after,
         });
     }
-
-    // --- End of schedule: patched words nothing ever consumed. -----------
-    for (t, words) in state.iter().enumerate() {
-        let mut kills = Vec::new();
-        for (addr, d) in words.iter().enumerate() {
-            if let Some(d) = d {
-                if d.kind == DefKind::Patch && !d.read {
-                    kills.push(Kill {
-                        addr,
-                        code: Code::DeadInit,
-                        def: *d,
-                    });
-                }
-            }
-        }
-        // Stores and inbound copies surviving unread are the schedule's
-        // outputs — never flagged. Range-compress and rewrite the message
-        // for the end-of-schedule flavour.
-        let mut diags = Vec::new();
-        emit_kills(&mut diags, levels, kills, t, epochs.len().saturating_sub(1));
-        for mut d in diags {
-            if let Some((span, _)) = d.message.split_once(':') {
-                d.message = format!("{span}: patched but never read by any program");
-            }
-            d.epoch = None;
-            report.diags.push(d);
-        }
-    }
-    report
 }
 
 #[cfg(test)]

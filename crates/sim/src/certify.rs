@@ -3,9 +3,11 @@
 //! [`CertifiedSchedule::certify`] is the one place a schedule's four
 //! static proofs are built — the schedule verifier's verdicts, the
 //! inter-epoch lint report, the footprint certificate and the Eq. 1
-//! WCET bound — each by one analysis walk. Its fields are private, so a
-//! `CertifiedSchedule` holds exactly what that constructor derived from
-//! the epochs it owns.
+//! WCET bound — as four passes on one schedule walk
+//! ([`cgra_verify::walk_schedule`]), in that order, with the footprint
+//! and WCET passes sharing one program-bound memo. Its fields are
+//! private, so a `CertifiedSchedule` holds exactly what that
+//! constructor derived from the epochs it owns.
 //!
 //! Admission (`cgra-serve`) certifies each cold submission once.
 //! Composition (`cgra-explore`) then *places* the certified schedule
@@ -28,14 +30,17 @@
 use std::sync::Arc;
 
 use cgra_fabric::{CostModel, LinkConfig, Mesh, TileId};
-use cgra_lint::{default_level, HoistOptions, HoistPlan, LintLevel, LintLevels, LintReport};
+use cgra_lint::{
+    default_level, HoistOptions, HoistPlan, LintLevel, LintLevels, LintPass, LintReport,
+};
 use cgra_verify::{
-    analyze_footprint, Diagnostic, EpochSpec, FootprintAnalysis, FootprintCertificate,
-    ScheduleBound, ScheduleChecker,
+    walk_schedule, BoundCache, BoundPass, Diagnostic, EpochAnalysis, EpochPass, EpochSpec,
+    FootprintAnalysis, FootprintCertificate, FootprintPass, ScheduleBound, ScheduleChecker,
+    Verdicts,
 };
 
 use crate::compose::ComposedTenant;
-use crate::epoch::{bound_epochs, check_epochs, epoch_spec, Epoch};
+use crate::epoch::{add_deadline_risks, epoch_spec, Epoch};
 
 /// A schedule together with the static proofs certified for it on its
 /// own mesh. Only [`CertifiedSchedule::certify`] makes one.
@@ -55,36 +60,49 @@ pub struct CertifiedSchedule {
 }
 
 impl CertifiedSchedule {
-    /// Certifies `epochs` for a cold array on `mesh`: runs the schedule
-    /// verifier, the lint pass at `levels`, the footprint derivation and
-    /// the WCET bound ([`bound_epochs`], priced under `cost`) once each,
-    /// and keeps every verdict.
+    /// Certifies `epochs` for a cold array on `mesh`: one schedule walk
+    /// runs the schedule verifier, the lint pass at `levels`, the
+    /// footprint derivation and the WCET bound (priced under `cost`,
+    /// with [`crate::bound_epochs`]'s deadline findings), and every
+    /// verdict is kept.
     ///
     /// A schedule the verifier rejects is refused with the verifier's
     /// findings (warnings included): nothing past the verifier is
-    /// meaningful on a malformed schedule. Every later verdict is kept
-    /// as found — a lint denial or a bound error does not refuse, so
-    /// each caller applies its own policy to it.
+    /// meaningful on a malformed schedule, so the other passes stop at
+    /// the first epoch with a verifier error and what they built is
+    /// dropped. Every later verdict is kept as found — a lint denial or
+    /// a bound error does not refuse, so each caller applies its own
+    /// policy to it.
     pub fn certify(
         mesh: Mesh,
         epochs: Vec<Epoch>,
         cost: &CostModel,
         levels: &LintLevels,
     ) -> Result<CertifiedSchedule, Vec<Diagnostic>> {
-        let mut checker = ScheduleChecker::new(mesh);
-        let verdicts = check_epochs(&mut checker, &epochs);
+        let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+        let mut verdicts = Verdicts::new();
+        let mut lint = UntilRejected::new(LintPass::new(mesh, levels, cost));
+        let mut footprint = UntilRejected::new(FootprintPass::new(mesh));
+        let mut bound = UntilRejected::new(BoundPass::new(mesh, cost));
+        let checker = walk_schedule(
+            mesh,
+            &specs,
+            &mut BoundCache::new(),
+            &mut [&mut verdicts, &mut lint, &mut footprint, &mut bound],
+        );
+        drop(specs);
+        let verdicts = verdicts.finish();
         if cgra_verify::has_errors(&verdicts) {
             return Err(verdicts);
         }
-        let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-        let lint = cgra_lint::lint_schedule(mesh, &specs, levels, cost);
+        let lint = lint.pass.finish();
         let clears_default_lint = !lint.denied()
             && cgra_lint::LINT_CODES
                 .iter()
                 .all(|&c| default_level(c) != LintLevel::Deny || levels.get(c) == LintLevel::Deny);
-        let footprint = analyze_footprint(mesh, &specs);
-        drop(specs);
-        let bound = bound_epochs(mesh, cost, &epochs);
+        let footprint = FootprintAnalysis::from(footprint.pass.finish(&[]));
+        let mut bound = bound.pass.finish();
+        add_deadline_risks(&mut bound, &epochs);
         Ok(CertifiedSchedule {
             mesh,
             cost: *cost,
@@ -185,6 +203,43 @@ impl CertifiedSchedule {
             proof: Some(proof),
         };
         Some((tenant, bound))
+    }
+}
+
+/// A pass fed epochs only until the verifier finds an error: past that
+/// the schedule is refused, so its result is never read.
+struct UntilRejected<P> {
+    pass: P,
+    rejected: bool,
+}
+
+impl<P> UntilRejected<P> {
+    fn new(pass: P) -> UntilRejected<P> {
+        UntilRejected {
+            pass,
+            rejected: false,
+        }
+    }
+}
+
+impl<P: EpochPass> EpochPass for UntilRejected<P> {
+    fn before_epoch(&mut self, ei: usize, e: &EpochSpec, pre: &ScheduleChecker) {
+        if !self.rejected {
+            self.pass.before_epoch(ei, e, pre);
+        }
+    }
+
+    fn epoch(
+        &mut self,
+        ei: usize,
+        e: &EpochSpec,
+        analysis: &EpochAnalysis,
+        bounds: &mut BoundCache,
+    ) {
+        self.rejected |= cgra_verify::has_errors(&analysis.diags);
+        if !self.rejected {
+            self.pass.epoch(ei, e, analysis, bounds);
+        }
     }
 }
 

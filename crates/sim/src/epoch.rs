@@ -71,15 +71,8 @@ pub fn epoch_spec(e: &Epoch) -> EpochSpec<'_> {
 /// without running anything. Returns every finding; filter with
 /// [`cgra_verify::has_errors`] to gate execution.
 pub fn verify_epochs(mesh: Mesh, epochs: &[Epoch]) -> Vec<Diagnostic> {
-    check_epochs(&mut ScheduleChecker::new(mesh), epochs)
-}
-
-/// Feeds `epochs` to `checker` in order and returns every finding.
-pub(crate) fn check_epochs(checker: &mut ScheduleChecker, epochs: &[Epoch]) -> Vec<Diagnostic> {
-    epochs
-        .iter()
-        .flat_map(|e| checker.check_epoch(&epoch_spec(e)))
-        .collect()
+    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+    cgra_verify::verify_schedule(mesh, &specs)
 }
 
 /// Statically bounds a whole schedule for `mesh` without running it:
@@ -91,6 +84,13 @@ pub(crate) fn check_epochs(checker: &mut ScheduleChecker, epochs: &[Epoch]) -> V
 pub fn bound_epochs(mesh: Mesh, cost: &CostModel, epochs: &[Epoch]) -> cgra_verify::ScheduleBound {
     let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
     let mut bound = cgra_verify::bound_schedule(mesh, cost, &specs);
+    add_deadline_risks(&mut bound, epochs);
+    bound
+}
+
+/// Adds [`bound_epochs`]'s per-epoch deadline findings to `bound`, a
+/// WCET bound of `epochs`.
+pub(crate) fn add_deadline_risks(bound: &mut cgra_verify::ScheduleBound, epochs: &[Epoch]) {
     for (ei, (e, eb)) in epochs.iter().zip(bound.epochs.iter()).enumerate() {
         // The stall cycles spend budget too: quiescence counts them.
         let need_best = eb.stall_cycles.saturating_add(eb.compute.best);
@@ -127,7 +127,6 @@ pub fn bound_epochs(mesh: Mesh, cost: &CostModel, epochs: &[Epoch]) -> cgra_veri
             }
         }
     }
-    bound
 }
 
 /// Eq. 1 accounting for one executed epoch.

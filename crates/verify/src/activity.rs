@@ -41,7 +41,7 @@
 //! ## Soundness posture
 //!
 //! The certificate is only trusted after [`verify_activity`]
-//! re-derives every claim from scratch (fresh [`ScheduleChecker`],
+//! re-derives every claim from scratch (a fresh schedule walk,
 //! fresh [`BoundCache`]) and compares field by field — the same
 //! plan/verify split `lint::overlap` uses for hoists. The derivation
 //! mirrors the simulator's own accounting ([`ReconfigPlan`] +
@@ -50,8 +50,9 @@
 //! interval cannot survive re-verification.
 
 use crate::diag::{Code, Diagnostic};
-use crate::schedule::{EpochSpec, ScheduleChecker};
+use crate::schedule::{EpochAnalysis, EpochSpec};
 use crate::timing::{BoundCache, CycleInterval};
+use crate::walk::{walk_schedule, EpochPass};
 use cgra_fabric::{CostModel, Mesh, ReconfigPlan, TileId, TileReconfig};
 use cgra_isa::encode_program;
 
@@ -212,19 +213,60 @@ impl Dsu {
     }
 }
 
-/// Derives one epoch's activity facts. `checker` and `cache` carry the
-/// cross-epoch state exactly the way the timing engine threads them.
+/// The activity pass: one [`EpochActivity`] per epoch walked, with the
+/// walk's bound memo pricing the busy spans exactly the way the WCET
+/// pass does.
+struct ActivityPass<'c> {
+    mesh: Mesh,
+    cost: &'c CostModel,
+    prev_links: cgra_fabric::LinkConfig,
+    epochs: Vec<EpochActivity>,
+}
+
+impl EpochPass for ActivityPass<'_> {
+    fn epoch(
+        &mut self,
+        ei: usize,
+        e: &EpochSpec,
+        analysis: &EpochAnalysis,
+        cache: &mut BoundCache,
+    ) {
+        let ea = epoch_activity(
+            self.mesh,
+            self.cost,
+            ei,
+            e,
+            &self.prev_links,
+            analysis,
+            cache,
+        );
+        self.prev_links = e.links.clone();
+        self.epochs.push(ea);
+    }
+}
+
+/// Every epoch's activity facts, from one schedule walk.
+fn derive_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> Vec<EpochActivity> {
+    let mut pass = ActivityPass {
+        mesh,
+        cost,
+        prev_links: mesh.disconnected(),
+        epochs: Vec::with_capacity(epochs.len()),
+    };
+    walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut pass]);
+    pass.epochs
+}
+
+/// Derives one epoch's activity facts from its analysis on the walk.
 fn epoch_activity(
     mesh: Mesh,
     cost: &CostModel,
     ei: usize,
     e: &EpochSpec,
     prev_links: &cgra_fabric::LinkConfig,
-    checker: &mut ScheduleChecker,
+    analysis: &EpochAnalysis,
     cache: &mut BoundCache,
 ) -> EpochActivity {
-    let analysis = checker.analyze_epoch(e);
-
     // Mirror the simulator's reconfiguration accounting bit for bit.
     let mut plan = ReconfigPlan::from_link_change(prev_links, e.links);
     for spec in &e.tiles {
@@ -351,18 +393,13 @@ fn epoch_activity(
 /// Derives the [`ActivityCertificate`] for a whole schedule on a cold
 /// array, with informational V120/V121 findings describing the proofs.
 pub fn analyze_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> ActivityAnalysis {
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut cache = BoundCache::new();
-    let mut prev_links = mesh.disconnected();
     let mut cert = ActivityCertificate {
         epochs: Vec::with_capacity(epochs.len()),
         total_busy: CycleInterval::exact(0),
         total_cycles: CycleInterval::exact(0),
     };
     let mut diags = Vec::new();
-    for (ei, e) in epochs.iter().enumerate() {
-        let ea = epoch_activity(mesh, cost, ei, e, &prev_links, &mut checker, &mut cache);
-        prev_links = e.links.clone();
+    for (ei, ea) in derive_activity(mesh, cost, epochs).into_iter().enumerate() {
         if !ea.intervals.is_empty() {
             let exact = ea.intervals.iter().filter(|iv| iv.exact).count();
             diags.push(
@@ -445,14 +482,10 @@ pub fn verify_activity(
         return diags;
     }
 
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut cache = BoundCache::new();
-    let mut prev_links = mesh.disconnected();
     let mut total_busy = CycleInterval::exact(0);
     let mut total_cycles = CycleInterval::exact(0);
-    for (ei, (e, claimed)) in epochs.iter().zip(&cert.epochs).enumerate() {
-        let fresh = epoch_activity(mesh, cost, ei, e, &prev_links, &mut checker, &mut cache);
-        prev_links = e.links.clone();
+    let derived = derive_activity(mesh, cost, epochs);
+    for (ei, (fresh, claimed)) in derived.iter().zip(&cert.epochs).enumerate() {
         total_busy = total_busy + fresh.busy_total;
         total_cycles = total_cycles + fresh.total_cycles;
 

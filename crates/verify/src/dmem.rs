@@ -86,6 +86,11 @@ impl WordSet {
         self.0.iter().zip(other.0.iter()).any(|(a, b)| a & b != 0)
     }
 
+    /// The set as a bitmap: bit `a % 64` of word `a / 64` for address `a`.
+    pub(crate) fn bits(&self) -> [u64; DATA_WORDS / 64] {
+        self.0
+    }
+
     /// Iterates the addresses in the set, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..DATA_WORDS).filter(move |&a| self.contains(a))
@@ -172,6 +177,11 @@ impl ConstMap {
     /// True when no word is known.
     pub fn is_empty(&self) -> bool {
         self.known.is_empty()
+    }
+
+    /// The words whose value is known.
+    pub fn known(&self) -> WordSet {
+        self.known
     }
 
     /// Must-join: keeps only words both maps know with equal values.

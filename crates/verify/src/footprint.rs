@@ -25,8 +25,8 @@
 //! The result is packaged as a [`FootprintCertificate`] under the same
 //! trust model as `ActivityCertificate` and `HoistCertificate`:
 //! consumers re-derive every claim field by field through
-//! [`verify_footprint`] (fresh [`ScheduleChecker`], fresh
-//! [`BoundCache`]) before admitting the schedule onto a shared fabric,
+//! [`verify_footprint`] (a fresh schedule walk, fresh [`BoundCache`])
+//! before admitting the schedule onto a shared fabric,
 //! and refuse it wholesale ([`Code::FootprintRefused`], V133) on any
 //! drift. [`check_disjoint`] decides whether certified footprints may
 //! co-reside ([`Code::OverlapConflict`], V132) and
@@ -40,8 +40,9 @@
 
 use crate::diag::{Code, Diagnostic};
 use crate::dmem::WordSet;
-use crate::schedule::{EpochSpec, ScheduleChecker};
+use crate::schedule::{EpochAnalysis, EpochSpec};
 use crate::timing::{BoundCache, CycleInterval};
+use crate::walk::{walk_schedule, EpochPass};
 use cgra_fabric::{Mesh, TileId};
 
 /// One tile's proven whole-schedule footprint.
@@ -134,7 +135,7 @@ impl FootprintCertificate {
 
 /// [`analyze_footprint`]'s output: the certificate plus the
 /// informational V130 finding describing what was proven.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FootprintAnalysis {
     /// The certificate (pass through [`verify_footprint`] before use).
     pub cert: FootprintCertificate,
@@ -142,14 +143,55 @@ pub struct FootprintAnalysis {
     pub diags: Vec<Diagnostic>,
 }
 
-/// Mutable per-tile accumulator keyed by tile id.
-struct TileAcc {
+/// The footprint pass: derives a [`FootprintCertificate`] epoch by
+/// epoch on the schedule walk. The walk's bound memo supplies the WCET
+/// traffic ceilings, so the derived word sets and link claims mirror
+/// the WCET analysis bit for bit. [`FootprintPass::finish`] counts one
+/// [`crate::Work::FootprintDerive`].
+#[derive(Debug)]
+pub struct FootprintPass {
+    mesh: Mesh,
+    epochs: usize,
+    /// Per-tile claims, ascending by tile.
     tiles: Vec<TileFootprint>,
+    links: Vec<LinkClaim>,
 }
 
-impl TileAcc {
-    fn new() -> TileAcc {
-        TileAcc { tiles: Vec::new() }
+impl FootprintPass {
+    /// A footprint for a cold array on `mesh`.
+    pub fn new(mesh: Mesh) -> FootprintPass {
+        FootprintPass {
+            mesh,
+            epochs: 0,
+            tiles: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// The certificate over every epoch walked, with `shadow`'s slot
+    /// tags folded in.
+    pub fn finish(self, shadow: &[ShadowClaim]) -> FootprintCertificate {
+        crate::work::tally(crate::work::Work::FootprintDerive);
+        self.certificate(shadow)
+    }
+
+    /// [`Self::finish`] without the tally: what [`verify_footprint`]'s
+    /// re-proof derives.
+    fn certificate(self, shadow: &[ShadowClaim]) -> FootprintCertificate {
+        let mut links = self.links;
+        links.sort_by_key(|c| (c.epoch, c.from, c.to));
+        let link_words_worst = links
+            .iter()
+            .try_fold(0u64, |sum, c| c.words.worst.map(|w| sum + w));
+        let mut cert = FootprintCertificate {
+            epochs: self.epochs,
+            tiles: self.tiles,
+            links,
+            shadow: Vec::new(),
+            link_words_worst,
+        };
+        cert.fold_shadow(self.mesh, shadow);
+        cert
     }
 
     fn entry(&mut self, tile: TileId) -> &mut TileFootprint {
@@ -163,87 +205,84 @@ impl TileAcc {
     }
 }
 
-/// Derives the footprint of one epoch into the accumulators. `checker`
-/// and `cache` carry the cross-epoch state exactly the way the timing
-/// engine threads them, so the derived word sets and traffic ceilings
-/// mirror the WCET analysis bit for bit.
-fn epoch_footprint(
-    mesh: Mesh,
-    ei: usize,
-    e: &EpochSpec,
-    checker: &mut ScheduleChecker,
-    cache: &mut BoundCache,
-    acc: &mut TileAcc,
-    links: &mut Vec<LinkClaim>,
-) {
-    let analysis = checker.analyze_epoch(e);
+impl EpochPass for FootprintPass {
+    fn epoch(
+        &mut self,
+        ei: usize,
+        e: &EpochSpec,
+        analysis: &EpochAnalysis,
+        cache: &mut BoundCache,
+    ) {
+        let mesh = self.mesh;
+        self.epochs = ei + 1;
 
-    // Reconfigured tiles: program loads and data patches both rewrite
-    // the tile's memories (and stall it behind the barrier).
-    for spec in &e.tiles {
-        if spec.tile >= mesh.tiles() {
-            continue;
+        // Reconfigured tiles: program loads and data patches both rewrite
+        // the tile's memories (and stall it behind the barrier).
+        for spec in &e.tiles {
+            if spec.tile >= mesh.tiles() {
+                continue;
+            }
+            let tf = self.entry(spec.tile);
+            if let Some(prog) = spec.program {
+                tf.programmed = true;
+                tf.imem_words = tf.imem_words.max(prog.len());
+            }
+            for p in spec.data_patches {
+                tf.patched = true;
+                tf.dmem.insert_range(p.base, p.len());
+            }
         }
-        let tf = acc.entry(spec.tile);
-        if let Some(prog) = spec.program {
-            tf.programmed = true;
-            tf.imem_words = tf.imem_words.max(prog.len());
-        }
-        for p in spec.data_patches {
-            tf.patched = true;
-            tf.dmem.insert_range(p.base, p.len());
-        }
-    }
 
-    // Both endpoints of every active link are fabric resources the
-    // schedule occupies, whether or not words flow this epoch.
-    for (t, dir) in e.links.iter_active() {
-        if t >= mesh.tiles() {
-            continue;
+        // Both endpoints of every active link are fabric resources the
+        // schedule occupies, whether or not words flow this epoch.
+        for (t, dir) in e.links.iter_active() {
+            if t >= mesh.tiles() {
+                continue;
+            }
+            self.entry(t);
+            if let Some(dst) = mesh.neighbour(t, dir) {
+                self.entry(dst);
+            }
         }
-        acc.entry(t);
-        if let Some(dst) = mesh.neighbour(t, dir) {
-            acc.entry(dst);
-        }
-    }
 
-    // Armed tiles: local stores, and remote writes through the link
-    // into the neighbour (with the WCET word-count ceiling).
-    for ta in &analysis.tiles {
-        if ta.tile >= mesh.tiles() {
-            continue;
+        // Armed tiles: local stores, and remote writes through the link
+        // into the neighbour (with the WCET word-count ceiling).
+        for ta in &analysis.tiles {
+            if ta.tile >= mesh.tiles() {
+                continue;
+            }
+            let pb = cache.bound(ta.prog, &ta.opts);
+            let (local, may_write, remote, remote_all) = match &ta.summary {
+                Some(s) => (
+                    s.written,
+                    s.has_remote_write,
+                    s.remote_written,
+                    s.remote_unknown,
+                ),
+                // Unresolved summary: assume every write the ISA allows.
+                None => (WordSet::full(), true, WordSet::full(), true),
+            };
+            self.entry(ta.tile).dmem.union(&local);
+            if !may_write {
+                continue;
+            }
+            let Some(dir) = e.links.get(ta.tile) else {
+                // A runtime remote write without a link faults before any
+                // word lands; no cross-tile effect to claim.
+                continue;
+            };
+            let Some(dst) = mesh.neighbour(ta.tile, dir) else {
+                continue;
+            };
+            let dst_set = if remote_all { WordSet::full() } else { remote };
+            self.entry(dst).dmem.union(&dst_set);
+            self.links.push(LinkClaim {
+                epoch: ei,
+                from: ta.tile,
+                to: dst,
+                words: pb.remote_words,
+            });
         }
-        let pb = cache.bound(ta.prog, &ta.opts);
-        let (local, may_write, remote, remote_all) = match &ta.summary {
-            Some(s) => (
-                s.written,
-                s.has_remote_write,
-                s.remote_written,
-                s.remote_unknown,
-            ),
-            // Unresolved summary: assume every write the ISA allows.
-            None => (WordSet::full(), true, WordSet::full(), true),
-        };
-        acc.entry(ta.tile).dmem.union(&local);
-        if !may_write {
-            continue;
-        }
-        let Some(dir) = e.links.get(ta.tile) else {
-            // A runtime remote write without a link faults before any
-            // word lands; no cross-tile effect to claim.
-            continue;
-        };
-        let Some(dst) = mesh.neighbour(ta.tile, dir) else {
-            continue;
-        };
-        let dst_set = if remote_all { WordSet::full() } else { remote };
-        acc.entry(dst).dmem.union(&dst_set);
-        links.push(LinkClaim {
-            epoch: ei,
-            from: ta.tile,
-            to: dst,
-            words: pb.remote_words,
-        });
     }
 }
 
@@ -253,44 +292,33 @@ pub fn analyze_footprint(mesh: Mesh, epochs: &[EpochSpec]) -> FootprintAnalysis 
     analyze_footprint_with_shadow(mesh, epochs, &[])
 }
 
-/// Derives the [`FootprintCertificate`] of a schedule on a cold array.
-/// `shadow` carries the slot tags of an independently re-verified hoist
-/// plan (empty for un-hoisted execution); the claims are folded into
-/// the certificate so co-residency checks see the shadow plane too.
+/// Derives the [`FootprintCertificate`] of a schedule on a cold array:
+/// the [`FootprintPass`] run alone on the schedule walk. `shadow`
+/// carries the slot tags of an independently re-verified hoist plan
+/// (empty for un-hoisted execution); the claims are folded into the
+/// certificate so co-residency checks see the shadow plane too.
 pub fn analyze_footprint_with_shadow(
     mesh: Mesh,
     epochs: &[EpochSpec],
     shadow: &[ShadowClaim],
 ) -> FootprintAnalysis {
-    crate::work::tally(crate::work::Work::FootprintDerive);
-    let cert = derive(mesh, epochs, shadow);
-    let diags = vec![footprint_summary(&cert)];
-    FootprintAnalysis { cert, diags }
+    derive(mesh, epochs).finish(shadow).into()
 }
 
-/// The certificate derivation shared by [`analyze_footprint_with_shadow`]
-/// and the re-proof in [`verify_footprint`].
-fn derive(mesh: Mesh, epochs: &[EpochSpec], shadow: &[ShadowClaim]) -> FootprintCertificate {
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut cache = BoundCache::new();
-    let mut acc = TileAcc::new();
-    let mut links = Vec::new();
-    for (ei, e) in epochs.iter().enumerate() {
-        epoch_footprint(mesh, ei, e, &mut checker, &mut cache, &mut acc, &mut links);
+/// The [`FootprintPass`] run alone on a fresh walk (fresh
+/// [`BoundCache`]).
+fn derive(mesh: Mesh, epochs: &[EpochSpec]) -> FootprintPass {
+    let mut pass = FootprintPass::new(mesh);
+    walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut pass]);
+    pass
+}
+
+impl From<FootprintCertificate> for FootprintAnalysis {
+    /// The certificate with its V130 summary.
+    fn from(cert: FootprintCertificate) -> FootprintAnalysis {
+        let diags = vec![footprint_summary(&cert)];
+        FootprintAnalysis { cert, diags }
     }
-    links.sort_by_key(|c| (c.epoch, c.from, c.to));
-    let link_words_worst = links
-        .iter()
-        .try_fold(0u64, |sum, c| c.words.worst.map(|w| sum + w));
-    let mut cert = FootprintCertificate {
-        epochs: epochs.len(),
-        tiles: acc.tiles,
-        links,
-        shadow: Vec::new(),
-        link_words_worst,
-    };
-    cert.fold_shadow(mesh, shadow);
-    cert
 }
 
 impl FootprintCertificate {
@@ -373,8 +401,8 @@ pub fn footprint_summary(cert: &FootprintCertificate) -> Diagnostic {
     )
 }
 
-/// Independently re-derives every claim of `cert` from scratch (fresh
-/// [`ScheduleChecker`], fresh [`BoundCache`]) and refuses the
+/// Independently re-derives every claim of `cert` from scratch (a fresh
+/// schedule walk, fresh [`BoundCache`]) and refuses the
 /// certificate ([`Code::FootprintRefused`] errors) on any drift.
 /// `shadow` must be the slot tags re-derived from the schedule's own
 /// re-verified hoist plan (empty when running un-hoisted). An empty
@@ -400,7 +428,7 @@ pub fn verify_footprint(
         return diags;
     }
 
-    let fresh = derive(mesh, epochs, shadow);
+    let fresh = derive(mesh, epochs).certificate(shadow);
     if cert.tiles != fresh.tiles {
         let claimed: Vec<TileId> = cert.tiles.iter().map(|t| t.tile).collect();
         let derived: Vec<TileId> = fresh.tiles.iter().map(|t| t.tile).collect();

@@ -29,6 +29,13 @@
 //! stores and inbound neighbour writes all count as initializing
 //! ([`schedule`]).
 //!
+//! Every schedule-level analysis runs as an [`EpochPass`] on one
+//! checker walk ([`walk_schedule`], [`walk`]): the verdicts
+//! ([`Verdicts`]), the footprint ([`FootprintPass`]), the WCET bound
+//! ([`BoundPass`]), the activity certificate, and `cgra-lint`'s lint
+//! and hoist-window passes. Run alone, each is its public entry point;
+//! run together, they share the walk.
+//!
 //! ## Concurrency pass ([`races`], V10x codes)
 //!
 //! Each epoch's remote-write / local-read-write effects are intersected
@@ -66,6 +73,7 @@ pub mod races;
 pub mod schedule;
 pub mod term;
 pub mod timing;
+pub mod walk;
 pub mod work;
 
 pub use activity::{
@@ -78,8 +86,8 @@ pub use diag::{errors, has_errors, Code, Diagnostic, Severity};
 pub use dmem::{ConstMap, DmemSummary, WordSet};
 pub use footprint::{
     analyze_footprint, analyze_footprint_with_shadow, check_contained, check_disjoint,
-    footprint_summary, verify_footprint, FootprintAnalysis, FootprintCertificate, LinkClaim,
-    ShadowClaim, TileFootprint,
+    footprint_summary, verify_footprint, FootprintAnalysis, FootprintCertificate, FootprintPass,
+    LinkClaim, ShadowClaim, TileFootprint,
 };
 pub use program::{analyze_program, verify_program, verify_program_with, DmemInit, VerifyOptions};
 pub use races::{check_epoch_races, TileEffects};
@@ -87,7 +95,8 @@ pub use schedule::{
     verify_schedule, EpochAnalysis, EpochSpec, ScheduleChecker, TileAnalysis, TileSpec,
 };
 pub use timing::{
-    bound_program, bound_schedule, bound_schedule_with, BoundCache, CycleInterval, EpochBound,
-    LoopBound, NsInterval, ProgramBound, ScheduleBound,
+    bound_program, bound_schedule, bound_schedule_with, BoundCache, BoundPass, CycleInterval,
+    EpochBound, LoopBound, NsInterval, ProgramBound, ScheduleBound,
 };
-pub use work::{Work, WorkCounts};
+pub use walk::{walk_schedule, EpochPass, Verdicts};
+pub use work::{WalkCounts, Work, WorkCounts};

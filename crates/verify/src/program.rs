@@ -72,6 +72,7 @@ pub fn analyze_program(
     prog: &[Instr],
     opts: &VerifyOptions,
 ) -> (Vec<Diagnostic>, Option<DmemSummary>) {
+    crate::work::tally(crate::work::Work::ProgramAnalysis);
     let mut diags = Vec::new();
     for (pc, i) in prog.iter().enumerate() {
         if let Err(e) = i.validate() {

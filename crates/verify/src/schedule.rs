@@ -23,6 +23,7 @@ use crate::diag::{Code, Diagnostic};
 use crate::dmem::{ConstMap, DmemSummary, WordSet};
 use crate::program::{analyze_program, DmemInit, VerifyOptions};
 use crate::races::{self, TileEffects};
+use crate::timing::BoundCache;
 use cgra_fabric::{DataPatch, LinkConfig, Mesh, TileId, DATA_WORDS};
 use cgra_isa::Instr;
 
@@ -163,8 +164,9 @@ impl ScheduleChecker {
 
     /// Checks the next epoch, advances the cross-epoch state, and returns
     /// the per-tile preconditions/summaries alongside the diagnostics —
-    /// the hook `crate::timing::bound_schedule` uses to bound each
-    /// program under exactly the assumptions it was verified under.
+    /// what [`crate::walk_schedule`] hands its passes, so the WCET pass
+    /// bounds each program under exactly the assumptions it was
+    /// verified under.
     pub fn analyze_epoch<'a>(&mut self, e: &EpochSpec<'a>) -> EpochAnalysis<'a> {
         let ei = self.epoch;
         self.epoch += 1;
@@ -369,10 +371,12 @@ impl ScheduleChecker {
     }
 }
 
-/// Verifies a whole schedule on a cold array.
+/// Verifies a whole schedule on a cold array: the verdict pass
+/// ([`crate::walk::Verdicts`]) run alone on the schedule walk.
 pub fn verify_schedule(mesh: Mesh, epochs: &[EpochSpec]) -> Vec<Diagnostic> {
-    let mut checker = ScheduleChecker::new(mesh);
-    epochs.iter().flat_map(|e| checker.check_epoch(e)).collect()
+    let mut verdicts = crate::walk::Verdicts::new();
+    crate::walk::walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut verdicts]);
+    verdicts.finish()
 }
 
 #[cfg(test)]

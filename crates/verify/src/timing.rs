@@ -24,9 +24,9 @@
 //!    ([`Code::UnboundedLoop`], a warning — spin-waits are legitimate
 //!    handshakes).
 //!
-//! [`bound_schedule`] lifts program bounds to whole schedules: it
-//! replays [`crate::schedule::ScheduleChecker`] to recover the exact
-//! preconditions each program runs under, mirrors the simulator's
+//! [`bound_schedule`] lifts program bounds to whole schedules: as a
+//! pass on the schedule walk ([`BoundPass`], [`crate::walk`]) it reads
+//! the exact preconditions each program runs under, mirrors the simulator's
 //! reconfiguration accounting ([`cgra_fabric::ReconfigPlan`] +
 //! [`cgra_fabric::CostModel`]), and composes the paper's Eq. 1
 //! `Runtime = Σ T_i + Σ τ_ij` analytically. The bounds are valid for
@@ -39,7 +39,8 @@ use crate::diag::{Code, Diagnostic};
 use crate::dmem::{self, AbsState, DmemSummary};
 use crate::effects;
 use crate::program::{DmemInit, VerifyOptions};
-use crate::schedule::{EpochSpec, ScheduleChecker};
+use crate::schedule::{EpochAnalysis, EpochSpec};
+use crate::walk::{walk_schedule, EpochPass};
 use cgra_fabric::cost::TransitionBreakdown;
 use cgra_fabric::{CostModel, Mesh, RawInstr, ReconfigPlan, TileReconfig, Word, DATA_WORDS};
 use cgra_isa::{encode_program, Instr, Operand, NUM_AR};
@@ -1138,59 +1139,35 @@ impl ScheduleBound {
     }
 }
 
-/// FNV-1a over a byte stream — the stable, dependency-free hash behind
-/// the batch-pricing memo keys.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+/// The exact preconditions a program is bounded under, packed into
+/// words as a memo key: a header (init-set shape, AR inheritance), the
+/// init set's bits when it is an explicit word set, the known-word
+/// set's bits, then every known word's value in address order (trip
+/// counts and copy variables come from these). The header fixes where
+/// each part starts, so equal keys mean equal preconditions and two
+/// programs can never share an entry by accident.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PreconditionKey(Box<[u64]>);
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl PreconditionKey {
+    fn of(opts: &VerifyOptions) -> PreconditionKey {
+        let (shape, init) = match &opts.dmem_init {
+            DmemInit::Nothing => (0, None),
+            DmemInit::Everything => (1, None),
+            DmemInit::Words(set) => (2, Some(set.bits())),
+        };
+        let known = opts.dmem_consts.known();
+        let mut words = vec![shape | (opts.ars_preloaded as u64) << 2];
+        words.extend(init.into_iter().flatten());
+        words.extend(known.bits());
+        words.extend(
+            known
+                .iter()
+                .filter_map(|a| opts.dmem_consts.get(a))
+                .map(|v| v as u64),
+        );
+        PreconditionKey(words.into_boxed_slice())
     }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// Stable fingerprint of the preconditions a program is bounded under:
-/// the init-set shape, every known word constant (address and value —
-/// trip counts and copy variables come from these), and AR
-/// inheritance. Two option sets with the same fingerprint yield the
-/// same [`ProgramBound`] for the same program (64-bit FNV collisions
-/// are negligible at sweep scale and only ever affect a memo lookup).
-fn opts_fingerprint(opts: &VerifyOptions) -> u64 {
-    let mut h = Fnv::new();
-    match &opts.dmem_init {
-        DmemInit::Nothing => h.write(&[0]),
-        DmemInit::Everything => h.write(&[1]),
-        DmemInit::Words(set) => {
-            h.write(&[2]);
-            for addr in set.iter() {
-                h.write_u64(addr as u64);
-            }
-        }
-    }
-    h.write(&[3]);
-    for addr in 0..DATA_WORDS {
-        if let Some(v) = opts.dmem_consts.get(addr) {
-            h.write_u64(addr as u64);
-            h.write_u64(v as u64);
-        }
-    }
-    h.write(&[opts.ars_preloaded as u8]);
-    h.finish()
 }
 
 /// Memoizes [`bound_program`] across a batch of schedules.
@@ -1199,12 +1176,12 @@ fn opts_fingerprint(opts: &VerifyOptions) -> u64 {
 /// it meets; across a DSE sweep the same kernel programs recur under
 /// the same accumulated constants (identical route hops, repeated
 /// stage programs), and this cache collapses those repeats into one
-/// analysis each. Keys are exact on the encoded program and hashed
-/// (FNV-1a) on the preconditions. [`Self::hits`] /
+/// analysis each. Keys are exact on both the encoded program and the
+/// preconditions (never a hash of them). [`Self::hits`] /
 /// [`Self::misses`] expose the effectiveness so sweeps can report it.
 #[derive(Debug, Default)]
 pub struct BoundCache {
-    map: HashMap<(Vec<RawInstr>, u64), ProgramBound>,
+    map: HashMap<(Vec<RawInstr>, PreconditionKey), ProgramBound>,
     hits: u64,
     misses: u64,
 }
@@ -1217,7 +1194,7 @@ impl BoundCache {
 
     /// [`bound_program`], memoized.
     pub fn bound(&mut self, prog: &[Instr], opts: &VerifyOptions) -> ProgramBound {
-        let key = (encode_program(prog), opts_fingerprint(opts));
+        let key = (encode_program(prog), PreconditionKey::of(opts));
         if let Some(b) = self.map.get(&key) {
             self.hits += 1;
             return b.clone();
@@ -1252,7 +1229,7 @@ impl BoundCache {
 /// Bounds a whole schedule statically, mirroring the simulator's
 /// `EpochRunner` accounting: the same [`ReconfigPlan`] is priced with
 /// the same [`CostModel`], and each program is bounded under exactly
-/// the preconditions [`ScheduleChecker`] verified it with (accumulated
+/// the preconditions the schedule checker verified it with (accumulated
 /// patches, carried constants, inherited address registers). For
 /// schedules the verifier accepts, the observed per-epoch compute
 /// cycles always fall inside `compute` and the simulator's reported
@@ -1272,19 +1249,58 @@ pub fn bound_schedule_with(
     epochs: &[EpochSpec],
     cache: &mut BoundCache,
 ) -> ScheduleBound {
-    crate::work::tally(crate::work::Work::WcetBound);
-    let mut checker = ScheduleChecker::new(mesh);
-    let mut prev_links = mesh.disconnected();
-    let mut out = ScheduleBound {
-        epochs: Vec::with_capacity(epochs.len()),
-        diags: Vec::new(),
-        cost: *cost,
-    };
-    for (ei, e) in epochs.iter().enumerate() {
-        let analysis = checker.analyze_epoch(e);
-        out.diags.extend(analysis.diags.iter().cloned());
+    let mut pass = BoundPass::new(mesh, cost);
+    walk_schedule(mesh, epochs, cache, &mut [&mut pass]);
+    pass.finish()
+}
 
-        let mut plan = ReconfigPlan::from_link_change(&prev_links, e.links);
+/// The WCET pass: builds a [`ScheduleBound`] epoch by epoch on the
+/// schedule walk — [`bound_schedule_with`] run alone, or beside the
+/// other passes of one walk. [`BoundPass::finish`] counts one
+/// [`crate::Work::WcetBound`].
+#[derive(Debug)]
+pub struct BoundPass {
+    mesh: Mesh,
+    prev_links: cgra_fabric::LinkConfig,
+    out: ScheduleBound,
+}
+
+impl BoundPass {
+    /// A bound for a cold array on `mesh`, priced under `cost`.
+    pub fn new(mesh: Mesh, cost: &CostModel) -> BoundPass {
+        BoundPass {
+            mesh,
+            prev_links: mesh.disconnected(),
+            out: ScheduleBound {
+                epochs: Vec::new(),
+                diags: Vec::new(),
+                cost: *cost,
+            },
+        }
+    }
+
+    /// The bound over every epoch walked.
+    pub fn finish(mut self) -> ScheduleBound {
+        crate::work::tally(crate::work::Work::WcetBound);
+        // The bound outlives the walk (a certified schedule keeps it):
+        // hand back no growth slack.
+        self.out.epochs.shrink_to_fit();
+        self.out
+    }
+}
+
+impl EpochPass for BoundPass {
+    fn epoch(
+        &mut self,
+        ei: usize,
+        e: &EpochSpec,
+        analysis: &EpochAnalysis,
+        cache: &mut BoundCache,
+    ) {
+        let (mesh, cost) = (self.mesh, self.out.cost);
+        self.out.diags.extend(analysis.diags.iter().cloned());
+
+        let mut plan = ReconfigPlan::from_link_change(&self.prev_links, e.links);
         for spec in &e.tiles {
             if spec.tile >= mesh.tiles() {
                 continue; // UnknownTile error already reported
@@ -1297,15 +1313,15 @@ pub fn bound_schedule_with(
                 },
             );
         }
-        let reconfig_ns = plan.total_ns(cost);
+        let reconfig_ns = plan.total_ns(&cost);
         let stall_cycles = cost.stall_cycles(reconfig_ns);
-        prev_links = e.links.clone();
+        self.prev_links = e.links.clone();
 
         let mut compute = CycleInterval::exact(0);
         let mut copied = CycleInterval::exact(0);
         for ta in &analysis.tiles {
             let pb = cache.bound(ta.prog, &ta.opts);
-            out.diags.extend(
+            self.out.diags.extend(
                 pb.diags
                     .into_iter()
                     .map(|d| d.on_tile(ta.tile).in_epoch(ei)),
@@ -1313,7 +1329,7 @@ pub fn bound_schedule_with(
             compute = compute.parallel_max(pb.cycles);
             copied = copied + pb.remote_words;
         }
-        out.epochs.push(EpochBound {
+        self.out.epochs.push(EpochBound {
             name: e.name.to_string(),
             reconfig_ns,
             stall_cycles,
@@ -1323,7 +1339,6 @@ pub fn bound_schedule_with(
             copied_words: copied,
         });
     }
-    out
 }
 
 #[cfg(test)]
@@ -1647,6 +1662,53 @@ mod tests {
         };
         cache.bound(&prog, &with_const);
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn bound_cache_keys_on_the_exact_preconditions() {
+        let prog = vec![
+            Instr::Ldar {
+                k: 0,
+                src: Some(d(7)),
+                imm: 0,
+            },
+            Instr::Ldi { dst: d(0), imm: 3 },
+            Instr::Djnz {
+                dst: d(0),
+                target: 1,
+            },
+            Instr::Halt,
+        ];
+        let with = |value: i64, ars_preloaded: bool| {
+            let mut consts = crate::dmem::ConstMap::empty();
+            consts.set(7, value);
+            consts.set(9, 1);
+            VerifyOptions {
+                dmem_init: DmemInit::Words(crate::dmem::WordSet::full()),
+                dmem_consts: consts,
+                ars_preloaded,
+            }
+        };
+        let mut cache = BoundCache::new();
+        cache.bound(&prog, &with(3, false));
+        // One known constant differs: a second entry.
+        cache.bound(&prog, &with(4, false));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
+        // Only the AR flag differs: a third.
+        cache.bound(&prog, &with(3, true));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 3, 3));
+        // Equal preconditions, built afresh: a hit on the first entry.
+        let hit = cache.bound(&prog, &with(3, false));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 3));
+        assert_eq!(hit, bound_program(&prog, &with(3, false)));
+        // Same may-initialized words under another init shape: another
+        // entry, as the shapes are distinct preconditions.
+        let everything = VerifyOptions {
+            dmem_init: DmemInit::Everything,
+            ..with(3, false)
+        };
+        cache.bound(&prog, &everything);
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]

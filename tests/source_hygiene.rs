@@ -88,6 +88,8 @@ fn activity_analysis_and_event_core_are_scanned() {
         "crates/sim/src/epoch.rs",
         // The certified-schedule proofs the composed runner trusts.
         "crates/sim/src/certify.rs",
+        // The schedule walk every one of those proofs is built on.
+        "crates/verify/src/walk.rs",
     ] {
         let path = root.join(file);
         assert!(
