@@ -9,15 +9,19 @@
 //! floor: composed wall clock at most 0.6x the sum of the isolated
 //! runs.
 //!
-//! Also gates the PR 7 leftover fix: a sink-less event-driven
+//! Also gates the sink-less event core: a sink-less event-driven
 //! fft-1024 run must not be slower than the same run with a telemetry
 //! sink attached (sink-less runs skip per-word segment bookkeeping
-//! entirely).
+//! entirely). Both run one certified schedule, certified once outside
+//! the timed loops.
 
 use cgra_bench::{banner, check, f, time_it};
 use cgra_explore::{build_example_schedule, compose_examples};
 use cgra_fabric::{CostModel, Mesh};
-use cgra_sim::{ArraySim, EpochRunner, EventOptions, ProgramCache, Recorder, VerifyMode};
+use cgra_lint::LintLevels;
+use cgra_sim::{
+    ArraySim, CertifiedSchedule, EpochRunner, EventOptions, ProgramCache, Recorder, VerifyMode,
+};
 
 const PACK: [&str; 3] = ["fft-64", "jpeg-stream", "fft-1024"];
 
@@ -113,20 +117,22 @@ fn main() {
         }),
     );
 
-    // PR 7 leftover: sink-less event-driven runs skip telemetry
-    // segment coalescing, so dropping the sink must never cost time.
+    // Sink-less event-driven runs skip telemetry segment coalescing,
+    // so dropping the sink must never cost time.
     println!();
     let (mesh, epochs) = build_example_schedule("fft-1024").expect("fft-1024");
+    let certified = CertifiedSchedule::certify(mesh, epochs, &cost, &LintLevels::default())
+        .expect("fft-1024 certifies");
     let mut cache = ProgramCache::new();
     let with_sink_ns = time_it("fft-1024 event-driven, sink attached", || {
         let mut r = strict_runner(mesh, &cost);
         r.sim.attach_sink(Box::new(Recorder::new()));
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        r.run_schedule_certified(&certified, &mut cache, &EventOptions { jobs: 1 })
             .expect("with-sink run");
     });
     let sink_less_ns = time_it("fft-1024 event-driven, sink-less    ", || {
         let mut r = strict_runner(mesh, &cost);
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        r.run_schedule_certified(&certified, &mut cache, &EventOptions { jobs: 1 })
             .expect("sink-less run");
     });
     check(

@@ -15,7 +15,10 @@
 use cgra_bench::{banner, check, json_head};
 use cgra_explore::{build_example_schedule, EXAMPLE_SCHEDULES};
 use cgra_fabric::{CostModel, Mesh};
-use cgra_sim::{ArraySim, EpochRunner, EventOptions, ProgramCache, Recorder, VerifyMode};
+use cgra_lint::LintLevels;
+use cgra_sim::{
+    ArraySim, CertifiedSchedule, EpochRunner, EventOptions, ProgramCache, Recorder, VerifyMode,
+};
 use cgra_telemetry::{conservation_violations, Attribution, Category};
 
 fn strict_runner(mesh: Mesh, cost: &CostModel) -> EpochRunner {
@@ -32,9 +35,14 @@ fn profile(name: &str, cost: &CostModel, event_driven: bool) -> Attribution {
     let recorder = Recorder::new();
     runner.sim.attach_sink(Box::new(recorder.clone()));
     if event_driven {
-        let mut cache = ProgramCache::new();
+        let certified = CertifiedSchedule::certify(mesh, epochs, cost, &LintLevels::default())
+            .expect("example schedules certify");
         runner
-            .run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+            .run_schedule_certified(
+                &certified,
+                &mut ProgramCache::new(),
+                &EventOptions { jobs: 1 },
+            )
             .expect("event-driven run");
     } else {
         runner.run_schedule(&epochs).expect("serial run");

@@ -2,22 +2,23 @@
 //! on real schedules (FFT columns, the JPEG stream) the event-driven
 //! and parallel paths must be **bit-exact** with the serial engine —
 //! memories, PE state, counters, clocks, reports, summary events, and
-//! (up to interleaving) the fine-grained sink stream — and a fabricated
-//! certificate must never execute: it is refused, recorded as `V122`,
+//! (up to interleaving) the fine-grained sink stream — and a certified
+//! schedule must never execute under its certificate on a runner in a
+//! state it was not certified for: it is refused, recorded as `V122`,
 //! and the run falls back to the serial engine with identical results.
 
 use cgra_explore::schedule::{fft_column_schedule, jpeg_stream_schedule};
-use cgra_fabric::rng::Rng;
 use cgra_fabric::CostModel;
 use cgra_kernels::fft::fixed::Cfx;
 use cgra_kernels::fft::partition::FftPlan;
 use cgra_kernels::fft::reference::Cf64;
 use cgra_kernels::jpeg::quant::QuantTable;
+use cgra_lint::LintLevels;
 use cgra_sim::{
-    epoch_spec, ArraySim, Epoch, EpochRunner, EventOptions, ProgramCache, Recorder, VerifyMode,
+    ArraySim, CertifiedSchedule, Epoch, EpochRunner, EventOptions, ProgramCache, Recorder,
+    RunReport, VerifyMode,
 };
 use cgra_telemetry::conservation_violations;
-use cgra_verify::{analyze_activity, ActivityCertificate, CycleInterval, EpochSpec};
 
 /// Everything observable about a finished run, in comparable form.
 struct Observed {
@@ -34,13 +35,8 @@ struct Observed {
 
 enum Engine {
     Serial,
-    Event {
-        jobs: usize,
-    },
-    Certified {
-        cert: ActivityCertificate,
-        jobs: usize,
-    },
+    Event { jobs: usize },
+    Certified { jobs: usize },
 }
 
 fn run(mesh: cgra_fabric::Mesh, epochs: &[Epoch], cost: &CostModel, engine: Engine) -> Observed {
@@ -55,9 +51,12 @@ fn run(mesh: cgra_fabric::Mesh, epochs: &[Epoch], cost: &CostModel, engine: Engi
             let mut progs = ProgramCache::new();
             runner.run_schedule_event_driven(epochs, &mut progs, &EventOptions { jobs })
         }
-        Engine::Certified { cert, jobs } => {
+        Engine::Certified { jobs } => {
+            let certified =
+                CertifiedSchedule::certify(mesh, epochs.to_vec(), cost, &LintLevels::default())
+                    .expect("schedule certifies");
             let mut progs = ProgramCache::new();
-            runner.run_schedule_certified(epochs, &cert, &mut progs, &EventOptions { jobs })
+            runner.run_schedule_certified(&certified, &mut progs, &EventOptions { jobs })
         }
     }
     .expect("schedule runs");
@@ -187,102 +186,103 @@ fn jpeg_stream_event_driven_is_bit_exact() {
     assert_bit_exact(&serial, &par, "jpeg-stream parallel");
 }
 
-/// A genuine certificate is accepted: no `V122` in the diagnostics and
-/// the certified entry point matches the serial engine bit for bit.
+/// A certified schedule is accepted on a runner in the state it was
+/// certified for: no `V122` in the diagnostics, and the certified entry
+/// point matches the serial engine bit for bit.
 #[test]
-fn genuine_certificate_is_accepted_and_bit_exact() {
+fn certified_schedule_is_accepted_and_bit_exact() {
     let (mesh, epochs) = fft_schedule(64, 16);
     let cost = CostModel::with_link_cost(150.0);
-    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-    let cert = analyze_activity(mesh, &cost, &specs).cert;
     let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let certified = run(mesh, &epochs, &cost, Engine::Certified { cert, jobs: 1 });
+    let certified = run(mesh, &epochs, &cost, Engine::Certified { jobs: 1 });
     assert_bit_exact(&serial, &certified, "fft-64 certified");
 }
 
-/// Seeded fabrication sweep: randomly corrupted certificates are always
-/// refused (`V122` lands in the diagnostics), never executed, and the
-/// serial fallback still produces bit-exact results.
+/// A runner's end state, in comparable form.
+fn end_state(runner: &EpochRunner, report: &RunReport) -> (Vec<Vec<i64>>, String, u64, String) {
+    let dmems = runner
+        .sim
+        .tiles
+        .iter()
+        .map(|t| t.dmem.snapshot().iter().map(|w| w.value()).collect())
+        .collect();
+    let counters = format!("{:?} {:?}", runner.sim.states, runner.sim.stats);
+    (dmems, counters, runner.sim.now, format!("{report:?}"))
+}
+
+/// A certified schedule is trusted only from the state it was certified
+/// for. On a runner with a different cost model, one that has already
+/// run an epoch, or one with a pre-armed tile it is refused (`V122`)
+/// and the run falls back to the serial engine: bit-exact with the
+/// serial engine on the same runner, with the same findings besides
+/// the refusal.
 #[test]
-fn fabricated_certificates_are_refused_and_fall_back() {
+fn runners_in_other_states_refuse_the_certified_schedule() {
     let (mesh, epochs) = fft_schedule(64, 16);
     let cost = CostModel::with_link_cost(150.0);
-    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-    let genuine = analyze_activity(mesh, &cost, &specs).cert;
-    let serial = run(mesh, &epochs, &cost, Engine::Serial);
-
-    let mut rng = Rng::seed_from_u64(0xAC7_CE57);
-    for round in 0..12 {
-        let mut cert = analyze_activity(mesh, &cost, &specs).cert;
-        let ei = (rng.next_u64() as usize) % cert.epochs.len();
-        let kind = rng.next_u64() % 6;
-        let ea = &mut cert.epochs[ei];
-        match kind {
-            // Claim the rewritten tiles never stall.
-            0 => ea.stall_cycles = 0,
-            // Shrink a busy span below what actually executes.
-            1 => {
-                if let Some(iv) = ea.intervals.first_mut() {
-                    iv.busy = CycleInterval::exact(0);
-                } else {
-                    ea.stall_cycles += 1;
-                }
-            }
-            // Split a communicating class into singletons.
-            2 => {
-                if let Some(c) = ea.classes.iter().position(|c| c.tiles.len() > 1) {
-                    let class = ea.classes.remove(c);
-                    for t in class.tiles {
-                        ea.classes.push(cgra_verify::IndependenceClass {
-                            tiles: vec![t],
-                            armed: class.armed.iter().copied().filter(|&a| a == t).collect(),
-                            edges: 0,
-                        });
-                    }
-                } else {
-                    ea.classes.clear();
-                }
-            }
-            // Forge the epoch total.
-            3 => ea.total_cycles = CycleInterval::exact(0),
-            // Rename the epoch.
-            4 => ea.name.push('!'),
-            // Drop the epoch's stalled set.
-            _ => ea.stalled.clear(),
-        }
-        // Tampering with an epoch must break *something* the verifier
-        // re-derives; if a mutation happened to be a no-op, skip it.
-        if cert.epochs == genuine.epochs {
-            continue;
-        }
-
+    let certified = CertifiedSchedule::certify(mesh, epochs.clone(), &cost, &LintLevels::default())
+        .expect("schedule certifies");
+    let strict = |cost: CostModel| {
         let mut sim = ArraySim::new(mesh);
         sim.verify = VerifyMode::Strict;
-        let mut runner = EpochRunner::new(sim, cost);
-        let mut progs = ProgramCache::new();
-        let report = runner
-            .run_schedule_certified(&epochs, &cert, &mut progs, &EventOptions { jobs: 1 })
+        EpochRunner::new(sim, cost)
+    };
+    let after_idle_epoch = || {
+        let mut r = strict(cost);
+        let idle = Epoch {
+            name: "idle".into(),
+            links: mesh.disconnected(),
+            setups: vec![],
+            budget: 10,
+        };
+        r.run_epoch(&idle).expect("idle epoch runs");
+        r
+    };
+    let pre_armed = || {
+        let mut r = strict(cost);
+        let mut p = cgra_isa::ProgramBuilder::new();
+        p.ldi(cgra_isa::ops::d(0), 3);
+        let l = p.here_label();
+        p.djnz(cgra_isa::ops::d(0), l);
+        p.halt();
+        r.sim
+            .load_program(0, &cgra_isa::encode_program(&p.build().unwrap()))
+            .unwrap();
+        r
+    };
+    let cases: [(&str, &dyn Fn() -> EpochRunner); 3] = [
+        ("different cost model", &|| strict(CostModel::default())),
+        ("non-fresh checker", &after_idle_epoch),
+        ("pre-armed tile", &pre_armed),
+    ];
+    for (case, runner) in cases {
+        let mut refused = runner();
+        let report = refused
+            .run_schedule_certified(
+                &certified,
+                &mut ProgramCache::new(),
+                &EventOptions::default(),
+            )
             .expect("fallback still runs");
-        assert!(
-            runner
-                .diagnostics
-                .iter()
-                .any(|d| d.code.id() == "V122" && d.is_error()),
-            "round {round} (epoch {ei}, kind {kind}): fabricated certificate was not refused"
-        );
-        // Fallback is the serial engine: bit-exact end state.
-        let dmems: Vec<Vec<i64>> = runner
-            .sim
-            .tiles
+        let (v122, rest): (Vec<_>, Vec<_>) = refused
+            .diagnostics
             .iter()
-            .map(|t| t.dmem.snapshot().iter().map(|w| w.value()).collect())
-            .collect();
-        assert_eq!(dmems, serial.dmems, "round {round}: fallback diverged");
-        assert_eq!(runner.sim.now, serial.now, "round {round}: clock diverged");
+            .partition(|d| d.code.id() == "V122");
+        assert!(
+            v122.len() == 1 && v122[0].is_error(),
+            "{case}: want one V122 refusal, got {v122:?}"
+        );
+        let mut serial = runner();
+        let serial_report = serial.run_schedule(&epochs).expect("serial runs");
         assert_eq!(
-            format!("{report:?}"),
-            serial.report,
-            "round {round}: report diverged"
+            end_state(&refused, &report),
+            end_state(&serial, &serial_report),
+            "{case}: fallback diverged from the serial engine"
+        );
+        assert_eq!(
+            rest,
+            serial.diagnostics.iter().collect::<Vec<_>>(),
+            "{case}: findings"
         );
     }
 }

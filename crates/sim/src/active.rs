@@ -4,15 +4,21 @@
 //! cycle — sound, but wasteful when the static analysis can prove most
 //! of the array inactive. This module consumes the proofs instead:
 //!
-//! 1. `cgra-verify`'s activity analysis derives an
-//!    [`ActivityCertificate`] for the whole schedule: per-tile activity
-//!    intervals (stall head + busy span) and **independence classes** —
-//!    groups of tiles that provably exchange no words within an epoch.
-//! 2. The certificate is **re-verified from scratch**
-//!    ([`cgra_verify::verify_activity`]) before the engine trusts it; a
-//!    single refused proof ([`cgra_verify::Code::CertificateRefused`])
-//!    drops the whole run to the bit-exact serial engine.
-//! 3. Under an accepted certificate each epoch runs event-driven:
+//! 1. [`CertifiedSchedule::certify`] derives the schedule's
+//!    [`cgra_verify::ActivityCertificate`] as one pass on its single
+//!    schedule walk, beside the verifier, lint, footprint and WCET
+//!    passes: per-tile activity intervals (stall head + busy span) and
+//!    **independence classes** — groups of tiles that provably exchange
+//!    no words within an epoch.
+//! 2. [`EpochRunner::run_schedule_certified`] trusts a certified
+//!    schedule only on an array in the state it was certified for —
+//!    the same mesh and cost model, nothing run yet, every tile
+//!    quiesced. There it records the certified lint findings and
+//!    verdicts where the runner's own gates would have filed them and
+//!    skips those gates; in any other state it records a
+//!    [`Code::CertificateRefused`] finding and runs the bit-exact
+//!    serial engine instead.
+//! 3. Under a trusted certificate each epoch runs event-driven:
 //!    provably-inactive tiles are never visited, the reconfiguration
 //!    stall head is accounted in one step instead of cycle-by-cycle,
 //!    and the independence classes step on the shared worker pool
@@ -22,11 +28,7 @@
 //! Programs are decoded **once per distinct image** into a
 //! [`ProgramCache`] (shared across epochs, and across DSE candidates
 //! when the caller reuses the cache) instead of once per executed
-//! instruction; the cache also memoizes strict-mode image verification
-//! and — keyed by the full schedule content — certificates that have
-//! already been derived *and* re-verified, so a warm replay (the DSE
-//! sweep re-simulating a cached candidate) pays the static analysis
-//! once, not once per run.
+//! instruction; the cache also memoizes strict-mode image verification.
 //!
 //! The contract is bit-exactness: final data/instruction memories, PE
 //! states, per-tile counters, Eq. 1 reports, the summary event stream,
@@ -36,15 +38,14 @@
 //! cycles as the serial engine's, though their interleaving in the
 //! stream may differ (sort both streams to compare).
 
+use crate::certify::CertifiedSchedule;
 use crate::engine::{SimError, TileStats, VerifyMode};
-use crate::epoch::{epoch_spec, gate, payloads, Epoch, EpochReport, EpochRunner, RunReport};
-use cgra_fabric::{CostModel, FabricError, LinkConfig, Mesh, Tile, TileId, Word};
-use cgra_isa::{decode, encode_program, step_decoded, ExecError, Instr, PeState, StepEffect};
+use crate::epoch::{gate, payloads, Epoch, EpochReport, EpochRunner, RunReport};
+use cgra_fabric::{FabricError, LinkConfig, Mesh, Tile, TileId, Word};
+use cgra_isa::{decode, step_decoded, ExecError, Instr, PeState, StepEffect};
+use cgra_lint::LintLevels;
 use cgra_telemetry::{Event, SegState};
-use cgra_verify::{
-    analyze_activity, verify_activity, ActivityCertificate, Code, Diagnostic, EpochActivity,
-    EpochSpec, ScheduleChecker,
-};
+use cgra_verify::{Code, Diagnostic, EpochActivity};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -71,34 +72,8 @@ pub struct DecodedProgram {
 pub struct ProgramCache {
     decoded: HashMap<Vec<u128>, Arc<DecodedProgram>>,
     verified: HashSet<Vec<u128>>,
-    schedules: HashMap<Vec<u8>, Arc<VerifiedSchedule>>,
     hits: u64,
     misses: u64,
-}
-
-/// The complete verification transcript of one clean certified run,
-/// memoized under its [`schedule_key`]. A warm replay of the
-/// byte-identical schedule from the same starting state (fresh checker,
-/// quiesced array, same verify mode — all enforced by the lookup)
-/// replays the transcript instead of re-deriving it: the recorded
-/// diagnostics are appended verbatim, the checker jumps to its recorded
-/// post-run state, and the epochs execute under the already-verified
-/// certificate. Only [`EpochRunner::run_schedule_event_driven`] writes
-/// this memo, and only after a run in which every gate passed — the
-/// lint gate, per-epoch verification, certificate re-verification, and
-/// the runtime conservation checks.
-#[derive(Debug)]
-pub struct VerifiedSchedule {
-    /// The accepted activity certificate.
-    pub cert: ActivityCertificate,
-    /// Every diagnostic the cold run pushed (lint findings, per-epoch
-    /// verifier warnings); errors never occur here — they abort the
-    /// cold run before it memoizes.
-    pub diags: Vec<Diagnostic>,
-    /// The schedule checker's state after the cold run, so a replayed
-    /// runner carries the same cross-epoch init/const knowledge into
-    /// any schedule it runs next.
-    pub checker_after: ScheduleChecker,
 }
 
 impl ProgramCache {
@@ -156,76 +131,6 @@ impl ProgramCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// The memoized transcript for exactly this schedule key
-    /// ([`schedule_key`]), if a clean cold run recorded one. A hit
-    /// carries the same trust as the `verified` image set: the
-    /// soundness obligations were discharged once, for byte-identical
-    /// input.
-    pub fn verified_schedule(&self, key: &[u8]) -> Option<&Arc<VerifiedSchedule>> {
-        self.schedules.get(key)
-    }
-
-    /// Memoizes a clean run's transcript under its schedule key.
-    pub fn store_verified_schedule(&mut self, key: Vec<u8>, vs: Arc<VerifiedSchedule>) {
-        self.schedules.insert(key, vs);
-    }
-
-    /// Verified schedule transcripts memoized so far.
-    pub fn verified_schedules(&self) -> usize {
-        self.schedules.len()
-    }
-}
-
-/// The memo key for transcript reuse: every input the static pipeline
-/// reads, serialized byte for byte — mesh shape, cost model, verify
-/// mode, and the full schedule content (epoch names, budgets, link
-/// configurations, encoded program images, data patches). Every
-/// variable-length field is length-prefixed, so distinct schedules
-/// cannot collide by concatenation. Byte-identical key ⟺ identical
-/// analysis input, so a memoized transcript is exactly what a fresh
-/// derivation would produce.
-pub fn schedule_key(mesh: Mesh, cost: &CostModel, verify: VerifyMode, epochs: &[Epoch]) -> Vec<u8> {
-    fn put_u64(k: &mut Vec<u8>, v: u64) {
-        k.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_str(k: &mut Vec<u8>, s: &str) {
-        put_u64(k, s.len() as u64);
-        k.extend_from_slice(s.as_bytes());
-    }
-    let mut k = Vec::with_capacity(4096);
-    put_str(&mut k, &format!("{mesh:?}|{cost:?}|{verify:?}"));
-    put_u64(&mut k, epochs.len() as u64);
-    for e in epochs {
-        put_str(&mut k, &e.name);
-        put_u64(&mut k, e.budget);
-        put_str(&mut k, &format!("{:?}", e.links));
-        put_u64(&mut k, e.setups.len() as u64);
-        for (t, s) in &e.setups {
-            put_u64(&mut k, *t as u64);
-            match &s.program {
-                // Image encoding is injective (decode ∘ encode = id),
-                // so keying on the image is keying on the program.
-                Some(p) => {
-                    let img = encode_program(p);
-                    put_u64(&mut k, img.len() as u64);
-                    for w in &img {
-                        k.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-                None => put_u64(&mut k, u64::MAX),
-            }
-            put_u64(&mut k, s.data_patches.len() as u64);
-            for p in &s.data_patches {
-                put_u64(&mut k, p.base as u64);
-                put_u64(&mut k, p.words.len() as u64);
-                for w in &p.words {
-                    k.extend_from_slice(&w.value().to_le_bytes());
-                }
-            }
-        }
-    }
-    k
 }
 
 /// Options for the event-driven core.
@@ -466,174 +371,92 @@ fn step_class(
 }
 
 impl EpochRunner {
-    /// Runs a whole schedule on the event-driven core.
+    /// Runs a whole schedule on the event-driven core: certifies it for
+    /// this runner's mesh and cost model at the default lint levels
+    /// ([`CertifiedSchedule::certify`]) and runs it with
+    /// [`EpochRunner::run_schedule_certified`]. A schedule the verifier
+    /// rejects is not certified; it runs on the serial engine
+    /// ([`EpochRunner::run_schedule`]), which stops at the first
+    /// rejected epoch with exactly that epoch's findings.
     ///
-    /// Derives the [`ActivityCertificate`] with
-    /// [`cgra_verify::analyze_activity`], re-verifies it independently,
-    /// and executes under it — or falls back to the bit-exact serial
-    /// engine, recording the [`Code::CertificateRefused`] findings in
-    /// [`EpochRunner::diagnostics`], when any proof is refused. The
-    /// cold-run lint gate of [`EpochRunner::run_schedule`] applies
-    /// unchanged.
-    ///
-    /// `progs` memoizes program decoding, strict-mode verification and
-    /// whole-schedule verification transcripts; hold it across calls to
-    /// amortize over DSE candidates that share kernel images — and over
-    /// warm replays of the same schedule, which skip the static
-    /// pipeline entirely: a [`VerifiedSchedule`] hit replays the cold
-    /// run's recorded diagnostics and checker state instead of
-    /// re-deriving them, and is only consulted from the exact state the
-    /// transcript was recorded in (fresh checker, quiesced array; the
-    /// verify mode is part of the key).
+    /// `progs` memoizes program decoding and strict-mode verification;
+    /// hold it across calls to amortize over DSE candidates that share
+    /// kernel images.
     pub fn run_schedule_event_driven(
         &mut self,
         epochs: &[Epoch],
         progs: &mut ProgramCache,
         opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
-        let key = schedule_key(self.sim.mesh, &self.cost, self.sim.verify, epochs);
-        if self.checker.epochs_seen() == 0 && self.sim.quiesced() {
-            if let Some(vs) = progs.verified_schedule(&key) {
-                let vs = Arc::clone(vs);
-                return self.replay_verified(epochs, &vs, progs, opts);
-            }
+        let levels = LintLevels::default();
+        match CertifiedSchedule::certify(self.sim.mesh, epochs.to_vec(), &self.cost, &levels) {
+            Ok(certified) => self.run_schedule_certified(&certified, progs, opts),
+            Err(_) => self.run_schedule(epochs),
         }
-        let fresh = self.checker.epochs_seen() == 0 && self.sim.quiesced();
-        let mark = self.diagnostics.len();
-        gate(self.cold_lint_gate(epochs))?;
-        let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-        let analysis = analyze_activity(self.sim.mesh, &self.cost, &specs);
-        let refusals = verify_activity(self.sim.mesh, &self.cost, &specs, &analysis.cert);
-        if !refusals.is_empty() {
-            self.diagnostics.extend(refusals);
-            return self.run_serial(epochs);
-        }
-        let report = self.certified_after_gate(epochs, &analysis.cert, progs, opts, true)?;
-        // Memoize only a fully clean run from the recordable starting
-        // state: no refusal fell back mid-way, no gate errored (an
-        // error would have propagated above), and the run began on a
-        // fresh checker over a quiesced array — the exact precondition
-        // the replay path re-establishes before trusting the memo.
-        let clean = fresh
-            && !self.diagnostics[mark..]
-                .iter()
-                .any(|d| d.code == Code::CertificateRefused);
-        if clean {
-            progs.store_verified_schedule(
-                key,
-                Arc::new(VerifiedSchedule {
-                    cert: analysis.cert,
-                    diags: self.diagnostics[mark..].to_vec(),
-                    checker_after: self.checker.clone(),
-                }),
-            );
-        }
-        Ok(report)
     }
 
-    /// The warm path: replay a memoized transcript. Preconditions
-    /// (checked by the caller): fresh checker, quiesced array,
-    /// byte-identical schedule under the same verify mode — so every
-    /// static gate of the cold run would reproduce exactly what the
-    /// transcript recorded.
-    fn replay_verified(
-        &mut self,
-        epochs: &[Epoch],
-        vs: &VerifiedSchedule,
-        progs: &mut ProgramCache,
-        opts: &EventOptions,
-    ) -> Result<RunReport, SimError> {
-        self.diagnostics.extend(vs.diags.iter().cloned());
-        let mut report = RunReport::default();
-        for (e, ea) in epochs.iter().zip(&vs.cert.epochs) {
-            report
-                .epochs
-                .push(self.run_epoch_certified(e, ea, progs, opts, false)?);
-        }
-        self.checker = vs.checker_after.clone();
-        Ok(report)
-    }
-
-    /// Runs a whole schedule under a caller-supplied certificate
-    /// (normally from [`cgra_verify::analyze_activity`] — but the
-    /// certificate is **never trusted**: it is re-verified from scratch
-    /// first, and any refusal drops the run to the bit-exact serial
-    /// engine with the [`Code::CertificateRefused`] findings recorded
-    /// in [`EpochRunner::diagnostics`]).
+    /// Runs a certified schedule on the event-driven core, under its
+    /// activity certificate.
+    ///
+    /// The schedule is trusted only on a runner in the state it was
+    /// certified for ([`CertifiedSchedule::certify`]'s mesh and cost
+    /// model, no epoch run yet, every tile quiesced, and — unless
+    /// verification is off — a lint verdict that clears the default
+    /// gate). Then nothing is re-derived: under any verify mode other
+    /// than [`VerifyMode::Off`] the certified lint findings and each
+    /// epoch's verifier findings land in [`EpochRunner::diagnostics`]
+    /// where [`EpochRunner::run_schedule`]'s gates would have filed
+    /// them, and the certified checker state is carried onto the
+    /// runner. In any other state the runner records a
+    /// [`Code::CertificateRefused`] finding and runs the bit-exact
+    /// serial engine behind its own cold lint gate.
     pub fn run_schedule_certified(
         &mut self,
-        epochs: &[Epoch],
-        cert: &ActivityCertificate,
+        certified: &CertifiedSchedule,
         progs: &mut ProgramCache,
         opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
-        gate(self.cold_lint_gate(epochs))?;
-        self.certified_after_gate(epochs, cert, progs, opts, false)
-    }
-
-    /// The post-gate half of the certified entry points: re-verify
-    /// (unless this exact certificate already passed verification this
-    /// run — `verified` is only set by the schedule-keyed memo in
-    /// [`ProgramCache`]), then run certified or fall back serially.
-    fn certified_after_gate(
-        &mut self,
-        epochs: &[Epoch],
-        cert: &ActivityCertificate,
-        progs: &mut ProgramCache,
-        opts: &EventOptions,
-        verified: bool,
-    ) -> Result<RunReport, SimError> {
-        // The certificate models a quiesced array at every epoch
-        // boundary; tiles armed behind the analysis's back (e.g. a
-        // program loaded directly on the sim) void it.
-        if !self.sim.quiesced() {
-            self.diagnostics.push(Diagnostic::error(
-                Code::CertificateRefused,
-                "array not quiesced at schedule entry; the activity certificate does not \
-                 cover pre-armed tiles — falling back to the serial engine"
-                    .to_string(),
-            ));
+        let epochs = certified.epochs();
+        if let Some(why) = certified.refusal(self) {
+            gate(self.cold_lint_gate(epochs))?;
+            self.diagnostics
+                .push(Diagnostic::error(Code::CertificateRefused, why));
             return self.run_serial(epochs);
         }
-        if !verified {
-            let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
-            let refusals = verify_activity(self.sim.mesh, &self.cost, &specs, cert);
-            if !refusals.is_empty() {
-                self.diagnostics.extend(refusals);
-                return self.run_serial(epochs);
-            }
+        let checking = self.sim.verify != VerifyMode::Off;
+        if checking {
+            self.diagnostics.extend_from_slice(&certified.lint().diags);
+            self.checker = certified.checker().clone();
         }
+        let mut verdicts = certified.verdicts();
         let mut report = RunReport::default();
-        for (e, ea) in epochs.iter().zip(&cert.epochs) {
+        for (ei, (e, ea)) in epochs.iter().zip(&certified.activity().epochs).enumerate() {
+            // The epoch's verifier findings, where the per-epoch gate
+            // would have filed them.
+            let n = verdicts.iter().take_while(|d| d.epoch == Some(ei)).count();
+            if checking {
+                self.diagnostics.extend_from_slice(&verdicts[..n]);
+            }
+            verdicts = &verdicts[n..];
             report
                 .epochs
-                .push(self.run_epoch_certified(e, ea, progs, opts, true)?);
+                .push(self.run_epoch_certified(e, ea, progs, opts)?);
         }
         Ok(report)
     }
 
-    /// One epoch under an accepted certificate: identical verification,
-    /// switch and event stream as [`EpochRunner::run_epoch`], but the
-    /// array never steps — the stall head is accounted in one batch and
-    /// only the certificate's independence classes execute, each to its
-    /// own quiescence.
-    ///
-    /// `check` re-runs the per-epoch verifier; [`replay_verified`]
-    /// passes `false` because the memoized transcript already carries
-    /// this epoch's findings from the byte-identical cold run.
-    ///
-    /// [`replay_verified`]: EpochRunner::replay_verified
+    /// One epoch under a trusted certificate: the same switch and event
+    /// stream as [`EpochRunner::run_epoch`], but the array never steps —
+    /// the stall head is accounted in one batch and only the
+    /// certificate's independence classes execute, each to its own
+    /// quiescence.
     fn run_epoch_certified(
         &mut self,
         epoch: &Epoch,
         ea: &EpochActivity,
         progs: &mut ProgramCache,
         opts: &EventOptions,
-        check: bool,
     ) -> Result<EpochReport, SimError> {
-        if check {
-            gate(self.check(epoch))?;
-        }
         let epoch_idx = self.begin(&epoch.name);
         let start = self.sim.now;
         let prev = self.prev_links.clone();

@@ -1,13 +1,20 @@
 //! Certify once: a schedule's static proofs as a value that travels.
 //!
-//! [`CertifiedSchedule::certify`] is the one place a schedule's four
-//! static proofs are built — the schedule verifier's verdicts, the
-//! inter-epoch lint report, the footprint certificate and the Eq. 1
-//! WCET bound — as four passes on one schedule walk
+//! [`CertifiedSchedule::certify`] is the one place a schedule's static
+//! proofs are built — the schedule verifier's verdicts, the inter-epoch
+//! lint report, the footprint certificate, the Eq. 1 WCET bound and the
+//! activity certificate — as passes on one schedule walk
 //! ([`cgra_verify::walk_schedule`]), in that order, with the footprint
-//! and WCET passes sharing one program-bound memo. Its fields are
+//! and WCET passes sharing one program-bound memo and the activity pass
+//! built on the WCET pass's pricing of each epoch. Its fields are
 //! private, so a `CertifiedSchedule` holds exactly what that
 //! constructor derived from the epochs it owns.
+//!
+//! The event-driven core ([`EpochRunner::run_schedule_certified`])
+//! runs a certified schedule under its activity certificate without
+//! re-deriving any of it, on a runner in the state it was certified
+//! for: the same mesh and cost model, nothing run yet, every tile
+//! quiesced.
 //!
 //! Admission (`cgra-serve`) certifies each cold submission once.
 //! Composition (`cgra-explore`) then *places* the certified schedule
@@ -26,6 +33,7 @@
 //! afresh, never trusted.
 //!
 //! [`EpochRunner::run_composed_schedule`]: crate::EpochRunner::run_composed_schedule
+//! [`EpochRunner::run_schedule_certified`]: crate::EpochRunner::run_schedule_certified
 
 use std::sync::Arc;
 
@@ -34,13 +42,14 @@ use cgra_lint::{
     default_level, HoistOptions, HoistPlan, LintLevel, LintLevels, LintPass, LintReport,
 };
 use cgra_verify::{
-    walk_schedule, BoundCache, BoundPass, Diagnostic, EpochAnalysis, EpochPass, EpochSpec,
-    FootprintAnalysis, FootprintCertificate, FootprintPass, ScheduleBound, ScheduleChecker,
-    Verdicts,
+    walk_schedule, ActivityCertificate, ActivityPass, BoundCache, Diagnostic, EpochAnalysis,
+    EpochPass, EpochSpec, FootprintAnalysis, FootprintCertificate, FootprintPass, ScheduleBound,
+    ScheduleChecker, Verdicts,
 };
 
 use crate::compose::ComposedTenant;
-use crate::epoch::{add_deadline_risks, epoch_spec, Epoch};
+use crate::engine::VerifyMode;
+use crate::epoch::{add_deadline_risks, epoch_spec, Epoch, EpochRunner};
 
 /// A schedule together with the static proofs certified for it on its
 /// own mesh. Only [`CertifiedSchedule::certify`] makes one.
@@ -57,14 +66,15 @@ pub struct CertifiedSchedule {
     clears_default_lint: bool,
     footprint: FootprintAnalysis,
     bound: ScheduleBound,
+    activity: ActivityCertificate,
 }
 
 impl CertifiedSchedule {
     /// Certifies `epochs` for a cold array on `mesh`: one schedule walk
     /// runs the schedule verifier, the lint pass at `levels`, the
-    /// footprint derivation and the WCET bound (priced under `cost`,
-    /// with [`crate::bound_epochs`]'s deadline findings), and every
-    /// verdict is kept.
+    /// footprint derivation, the WCET bound (priced under `cost`, with
+    /// [`crate::bound_epochs`]'s deadline findings) and the activity
+    /// analysis on that bound's pricing, and every verdict is kept.
     ///
     /// A schedule the verifier rejects is refused with the verifier's
     /// findings (warnings included): nothing past the verifier is
@@ -83,12 +93,12 @@ impl CertifiedSchedule {
         let mut verdicts = Verdicts::new();
         let mut lint = UntilRejected::new(LintPass::new(mesh, levels, cost));
         let mut footprint = UntilRejected::new(FootprintPass::new(mesh));
-        let mut bound = UntilRejected::new(BoundPass::new(mesh, cost));
+        let mut activity = UntilRejected::new(ActivityPass::new(mesh, cost));
         let checker = walk_schedule(
             mesh,
             &specs,
             &mut BoundCache::new(),
-            &mut [&mut verdicts, &mut lint, &mut footprint, &mut bound],
+            &mut [&mut verdicts, &mut lint, &mut footprint, &mut activity],
         );
         drop(specs);
         let verdicts = verdicts.finish();
@@ -101,7 +111,7 @@ impl CertifiedSchedule {
                 .iter()
                 .all(|&c| default_level(c) != LintLevel::Deny || levels.get(c) == LintLevel::Deny);
         let footprint = FootprintAnalysis::from(footprint.pass.finish(&[]));
-        let mut bound = bound.pass.finish();
+        let (mut bound, activity) = activity.pass.finish();
         add_deadline_risks(&mut bound, &epochs);
         Ok(CertifiedSchedule {
             mesh,
@@ -113,6 +123,7 @@ impl CertifiedSchedule {
             clears_default_lint,
             footprint,
             bound,
+            activity,
         })
     }
 
@@ -140,6 +151,63 @@ impl CertifiedSchedule {
     /// The Eq. 1 WCET bound, with its deadline findings.
     pub fn bound(&self) -> &ScheduleBound {
         &self.bound
+    }
+
+    /// The activity certificate the event-driven core runs under.
+    pub fn activity(&self) -> &ActivityCertificate {
+        &self.activity
+    }
+
+    /// The certified epochs.
+    pub(crate) fn epochs(&self) -> &[Epoch] {
+        &self.epochs
+    }
+
+    /// The schedule checker's state after the certified epochs.
+    pub(crate) fn checker(&self) -> &ScheduleChecker {
+        &self.checker
+    }
+
+    /// Why `runner` may not run this schedule under its proofs, or
+    /// `None` when it may: it must be in the state the schedule was
+    /// certified for — the same mesh and cost model, no epoch run yet,
+    /// a lint verdict that clears its default gate (unless it verifies
+    /// nothing) and every tile quiesced.
+    pub(crate) fn refusal(&self, runner: &EpochRunner) -> Option<String> {
+        let fallback = "falling back to the serial engine";
+        let mesh = runner.sim.mesh;
+        if mesh != self.mesh {
+            Some(format!(
+                "schedule certified for a {}x{} mesh, the array is {}x{}; the activity \
+                 certificate does not cover it — {fallback}",
+                self.mesh.rows(),
+                self.mesh.cols(),
+                mesh.rows(),
+                mesh.cols()
+            ))
+        } else if runner.cost != self.cost {
+            Some(format!(
+                "schedule certified under a different cost model; the activity certificate \
+                 does not price this runner's switches — {fallback}"
+            ))
+        } else if runner.epochs_run != 0 || runner.checker.epochs_seen() != 0 {
+            Some(format!(
+                "runner has already executed epochs; the activity certificate covers a cold \
+                 array — {fallback}"
+            ))
+        } else if runner.sim.verify != VerifyMode::Off && !self.clears_default_lint {
+            Some(format!(
+                "schedule certified at lint levels whose verdict does not clear the runner's \
+                 default lint gate — {fallback}"
+            ))
+        } else if !runner.sim.quiesced() {
+            Some(format!(
+                "array not quiesced at schedule entry; the activity certificate does not \
+                 cover pre-armed tiles — {fallback}"
+            ))
+        } else {
+            None
+        }
     }
 
     /// Places the schedule in the column band of `composed` that starts

@@ -6,15 +6,16 @@
 //!   tile per cycle, link-routed remote writes, reconfiguration stalls),
 //! * [`epoch`] — epoch schedules, partial-reconfiguration switches with
 //!   compute overlap, and the paper's Eq. 1 runtime decomposition,
-//! * [`active`] — the event-driven core: executes whole schedules under
-//!   a re-verified `cgra-verify` activity certificate, skipping
-//!   provably-inactive tiles, pre-decoding programs once per image, and
-//!   stepping independence classes in parallel — bit-exact with the
-//!   serial engine, with automatic serial fallback on a refused
-//!   certificate,
+//! * [`active`] — the event-driven core: executes a certified schedule
+//!   under its activity certificate, skipping provably-inactive tiles,
+//!   pre-decoding programs once per image, and stepping independence
+//!   classes in parallel — bit-exact with the serial engine, with
+//!   automatic serial fallback when the runner is not in the state the
+//!   schedule was certified for,
 //! * [`certify`] — [`CertifiedSchedule`]: a schedule's verifier, lint,
-//!   footprint and WCET proofs built once and carried as a value, and
-//!   placed onto a composed fabric by translation,
+//!   footprint, WCET and activity proofs built once on one schedule
+//!   walk and carried as a value, and placed onto a composed fabric by
+//!   translation,
 //! * [`compose`] — co-resident execution of certified tenants on one
 //!   fabric,
 //! * [`trace`] — per-tile activity traces with ASCII Gantt rendering,
@@ -38,7 +39,7 @@ pub mod epoch;
 pub mod lint;
 pub mod trace;
 
-pub use active::{schedule_key, DecodedProgram, EventOptions, ProgramCache, VerifiedSchedule};
+pub use active::{DecodedProgram, EventOptions, ProgramCache};
 pub use certify::{CertifiedSchedule, TenantProof};
 pub use cgra_telemetry::{Event, EventSink, Recorder};
 pub use compose::{ComposedReport, ComposedTenant, TenantOutcome};

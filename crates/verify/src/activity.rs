@@ -40,21 +40,24 @@
 //!
 //! ## Soundness posture
 //!
-//! The certificate is only trusted after [`verify_activity`]
-//! re-derives every claim from scratch (a fresh schedule walk,
-//! fresh [`BoundCache`]) and compares field by field — the same
-//! plan/verify split `lint::overlap` uses for hoists. The derivation
-//! mirrors the simulator's own accounting ([`ReconfigPlan`] +
-//! [`cgra_fabric::CostModel`]) bit for bit, so a certificate computed
-//! under a different cost model, a stale schedule, or a fabricated
-//! interval cannot survive re-verification.
+//! The certificate is derived as one pass on the schedule walk
+//! ([`ActivityPass`]), which extends the WCET pass: the switch pricing
+//! and the busy spans are the ones the WCET bound is built from, and
+//! the derivation mirrors the simulator's own accounting
+//! ([`cgra_fabric::ReconfigPlan`] + [`cgra_fabric::CostModel`]) bit for
+//! bit. The event-driven core trusts a certificate only inside the
+//! certified schedule that derived it, and only on an array in the
+//! state it was derived for (same mesh and cost model, nothing run
+//! yet, every tile quiesced). [`verify_activity`] re-derives every
+//! claim from scratch and compares field by field, so a certificate
+//! computed under a different cost model, a stale schedule, or a
+//! fabricated interval is refused wherever one is checked.
 
 use crate::diag::{Code, Diagnostic};
 use crate::schedule::{EpochAnalysis, EpochSpec};
-use crate::timing::{BoundCache, CycleInterval};
+use crate::timing::{BoundCache, BoundPass, CycleInterval, EpochPricing, ScheduleBound};
 use crate::walk::{walk_schedule, EpochPass};
-use cgra_fabric::{CostModel, Mesh, ReconfigPlan, TileId, TileReconfig};
-use cgra_isa::encode_program;
+use cgra_fabric::{CostModel, Mesh, TileId};
 
 /// How a tile participates in an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +114,8 @@ pub struct EpochActivity {
     /// Epoch name (for messages).
     pub name: String,
     /// Reconfiguration charge entering the epoch, mirroring
-    /// [`ReconfigPlan::total_ns`] under the certificate's cost model.
+    /// [`cgra_fabric::ReconfigPlan::total_ns`] under the certificate's
+    /// cost model.
     pub reconfig_ns: f64,
     /// `ceil(reconfig_ns / cycle)` — the stall head every reconfigured
     /// tile serves.
@@ -151,8 +155,8 @@ impl EpochActivity {
 
 /// The machine-checkable result of [`analyze_activity`]: interval
 /// proofs, class non-interference obligations, and busy-cycle
-/// conservation bounds for a whole schedule. Consumers must pass it
-/// through [`verify_activity`] before trusting any field.
+/// conservation bounds for a whole schedule. [`verify_activity`]
+/// checks a certificate from anywhere else against a fresh derivation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityCertificate {
     /// Per-epoch proofs, in execution order.
@@ -170,7 +174,7 @@ pub struct ActivityCertificate {
 /// V120/V121 findings describing what was proven.
 #[derive(Debug, Clone)]
 pub struct ActivityAnalysis {
-    /// The certificate (pass through [`verify_activity`] before use).
+    /// The certificate.
     pub cert: ActivityCertificate,
     /// V120 interval and V121 class findings (warnings, informational)
     /// plus any analysis errors that make an epoch unskippable.
@@ -213,17 +217,49 @@ impl Dsu {
     }
 }
 
-/// The activity pass: one [`EpochActivity`] per epoch walked, with the
-/// walk's bound memo pricing the busy spans exactly the way the WCET
-/// pass does.
-struct ActivityPass<'c> {
-    mesh: Mesh,
-    cost: &'c CostModel,
-    prev_links: cgra_fabric::LinkConfig,
+/// The activity pass: one [`EpochActivity`] per epoch walked. It
+/// extends the WCET pass — it runs a [`BoundPass`] and takes each
+/// epoch's switch pricing (`reconfig_ns`, `stall_cycles`, the stalled
+/// tiles, `compute`) and its per-tile busy bounds from what that pass
+/// priced through the walk's shared [`BoundCache`], so a schedule's
+/// bound and its activity proofs come from one pricing of each epoch.
+/// [`ActivityPass::finish`] returns both.
+#[derive(Debug)]
+pub struct ActivityPass {
+    wcet: BoundPass,
     epochs: Vec<EpochActivity>,
 }
 
-impl EpochPass for ActivityPass<'_> {
+impl ActivityPass {
+    /// The activity facts (and the WCET bound) of a cold array on
+    /// `mesh`, priced under `cost`.
+    pub fn new(mesh: Mesh, cost: &CostModel) -> ActivityPass {
+        ActivityPass {
+            wcet: BoundPass::new(mesh, cost),
+            epochs: Vec::new(),
+        }
+    }
+
+    /// The WCET bound and the activity certificate over every epoch
+    /// walked.
+    pub fn finish(self) -> (ScheduleBound, ActivityCertificate) {
+        let mut cert = ActivityCertificate {
+            epochs: self.epochs,
+            total_busy: CycleInterval::exact(0),
+            total_cycles: CycleInterval::exact(0),
+        };
+        for ea in &cert.epochs {
+            cert.total_busy = cert.total_busy + ea.busy_total;
+            cert.total_cycles = cert.total_cycles + ea.total_cycles;
+        }
+        // The certificate outlives the walk (a certified schedule keeps
+        // it): hand back no growth slack.
+        cert.epochs.shrink_to_fit();
+        (self.wcet.finish(), cert)
+    }
+}
+
+impl EpochPass for ActivityPass {
     fn epoch(
         &mut self,
         ei: usize,
@@ -231,75 +267,46 @@ impl EpochPass for ActivityPass<'_> {
         analysis: &EpochAnalysis,
         cache: &mut BoundCache,
     ) {
-        let ea = epoch_activity(
-            self.mesh,
-            self.cost,
-            ei,
-            e,
-            &self.prev_links,
-            analysis,
-            cache,
-        );
-        self.prev_links = e.links.clone();
+        let priced = self.wcet.price(ei, e, analysis, cache);
+        let ea = epoch_activity(self.wcet.mesh, ei, e, analysis, priced);
         self.epochs.push(ea);
     }
 }
 
 /// Every epoch's activity facts, from one schedule walk.
-fn derive_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> Vec<EpochActivity> {
-    let mut pass = ActivityPass {
-        mesh,
-        cost,
-        prev_links: mesh.disconnected(),
-        epochs: Vec::with_capacity(epochs.len()),
-    };
+fn derive_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> ActivityCertificate {
+    let mut pass = ActivityPass::new(mesh, cost);
     walk_schedule(mesh, epochs, &mut BoundCache::new(), &mut [&mut pass]);
-    pass.epochs
+    pass.finish().1
 }
 
-/// Derives one epoch's activity facts from its analysis on the walk.
+/// Builds one epoch's activity facts on the WCET pass's pricing of it.
 fn epoch_activity(
     mesh: Mesh,
-    cost: &CostModel,
     ei: usize,
     e: &EpochSpec,
-    prev_links: &cgra_fabric::LinkConfig,
     analysis: &EpochAnalysis,
-    cache: &mut BoundCache,
+    priced: EpochPricing,
 ) -> EpochActivity {
-    // Mirror the simulator's reconfiguration accounting bit for bit.
-    let mut plan = ReconfigPlan::from_link_change(prev_links, e.links);
-    for spec in &e.tiles {
-        if spec.tile >= mesh.tiles() {
-            continue;
-        }
-        plan.add_tile(
-            spec.tile,
-            TileReconfig {
-                program: spec.program.map(encode_program),
-                data_patches: spec.data_patches.to_vec(),
-            },
-        );
-    }
-    let reconfig_ns = plan.total_ns(cost);
-    let stall_cycles = cost.stall_cycles(reconfig_ns);
-    let mut stalled = plan.stalled_tiles();
-    stalled.sort_unstable();
+    let EpochPricing {
+        reconfig_ns,
+        stall_cycles,
+        stalled,
+        compute,
+        tiles,
+    } = priced;
 
     // Interval proofs: stall head for every stalled tile, plus the WCET
     // busy span for tiles that were armed with a program.
-    let mut intervals: Vec<ActivityInterval> = Vec::new();
-    let mut compute = CycleInterval::exact(0);
+    let mut intervals: Vec<ActivityInterval> = Vec::with_capacity(stalled.len());
     let mut busy_total = CycleInterval::exact(0);
-    for ta in &analysis.tiles {
-        let pb = cache.bound(ta.prog, &ta.opts);
-        compute = compute.parallel_max(pb.cycles);
-        busy_total = busy_total + pb.cycles;
+    for (tile, busy, exact) in tiles {
+        busy_total = busy_total + busy;
         intervals.push(ActivityInterval {
-            tile: ta.tile,
+            tile,
             stall: stall_cycles,
-            busy: pb.cycles,
-            exact: pb.exact,
+            busy,
+            exact,
             kind: TileActivity::Programmed,
         });
     }
@@ -370,6 +377,12 @@ fn epoch_activity(
             c.armed.push(t);
         }
     }
+    // A certified schedule keeps the certificate: no growth slack.
+    classes.shrink_to_fit();
+    for c in &mut classes {
+        c.tiles.shrink_to_fit();
+        c.armed.shrink_to_fit();
+    }
 
     let total_cycles = if stalled.is_empty() {
         CycleInterval::exact(0)
@@ -393,13 +406,9 @@ fn epoch_activity(
 /// Derives the [`ActivityCertificate`] for a whole schedule on a cold
 /// array, with informational V120/V121 findings describing the proofs.
 pub fn analyze_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> ActivityAnalysis {
-    let mut cert = ActivityCertificate {
-        epochs: Vec::with_capacity(epochs.len()),
-        total_busy: CycleInterval::exact(0),
-        total_cycles: CycleInterval::exact(0),
-    };
+    let cert = derive_activity(mesh, cost, epochs);
     let mut diags = Vec::new();
-    for (ei, ea) in derive_activity(mesh, cost, epochs).into_iter().enumerate() {
+    for (ei, ea) in cert.epochs.iter().enumerate() {
         if !ea.intervals.is_empty() {
             let exact = ea.intervals.iter().filter(|iv| iv.exact).count();
             diags.push(
@@ -436,9 +445,6 @@ pub fn analyze_activity(mesh: Mesh, cost: &CostModel, epochs: &[EpochSpec]) -> A
                 .in_epoch(ei),
             );
         }
-        cert.total_busy = cert.total_busy + ea.busy_total;
-        cert.total_cycles = cert.total_cycles + ea.total_cycles;
-        cert.epochs.push(ea);
     }
     ActivityAnalysis { cert, diags }
 }
@@ -482,13 +488,8 @@ pub fn verify_activity(
         return diags;
     }
 
-    let mut total_busy = CycleInterval::exact(0);
-    let mut total_cycles = CycleInterval::exact(0);
     let derived = derive_activity(mesh, cost, epochs);
-    for (ei, (fresh, claimed)) in derived.iter().zip(&cert.epochs).enumerate() {
-        total_busy = total_busy + fresh.busy_total;
-        total_cycles = total_cycles + fresh.total_cycles;
-
+    for (ei, (fresh, claimed)) in derived.epochs.iter().zip(&cert.epochs).enumerate() {
         if claimed.epoch != ei || claimed.name != fresh.name {
             refuse(
                 Some(ei),
@@ -558,13 +559,13 @@ pub fn verify_activity(
             );
         }
     }
-    if cert.total_busy != total_busy {
+    if cert.total_busy != derived.total_busy {
         refuse(
             None,
             "schedule-wide busy-cycle conservation bound disagrees with the epoch sum".to_string(),
         );
     }
-    if cert.total_cycles != total_cycles {
+    if cert.total_cycles != derived.total_cycles {
         refuse(
             None,
             "schedule-wide cycle bound disagrees with the epoch sum".to_string(),

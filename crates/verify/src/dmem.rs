@@ -257,10 +257,16 @@ impl AbsState {
     }
 
     pub(crate) fn addr_of(&self, ar: u8, disp: u8) -> Option<usize> {
-        match self.ar[ar as usize] {
+        match self.ar_val(ar) {
             ArVal::Const(c) => Some((c as usize + disp as usize) % DATA_WORDS),
             ArVal::Unknown => None,
         }
+    }
+
+    /// Address register `k`'s abstract value; a register past the file
+    /// (an invalid program, refused with V001) reads as unknown.
+    fn ar_val(&self, k: u8) -> ArVal {
+        self.ar.get(k as usize).copied().unwrap_or(ArVal::Unknown)
     }
 
     /// The statically-known value an operand reads as, if any.
@@ -402,7 +408,7 @@ fn write_value(i: &Instr, st: &AbsState) -> Option<i64> {
             _ => None,
         },
         Instr::Djnz { dst, .. } => st.const_of(dst).map(|v| w(v).sub(Word::ONE).value()),
-        Instr::Movar { k, .. } => match st.ar[*k as usize] {
+        Instr::Movar { k, .. } => match st.ar_val(*k) {
             ArVal::Const(c) => Some(c as i64),
             ArVal::Unknown => None,
         },
@@ -492,26 +498,29 @@ pub(crate) fn step(
             Operand::Imm(_) => {}
         }
     }
-    match i {
-        Instr::Ldar { k, src: None, imm } => st.ar[*k as usize] = ArVal::Const(*imm),
+    let (k, v) = match i {
+        Instr::Ldar { k, src: None, imm } => (k, ArVal::Const(*imm)),
+        // Mirror exec: the register takes the operand's value mod 512,
+        // which resolves when the word is a known constant (e.g. a
+        // patched copy variable).
         Instr::Ldar {
             k, src: Some(op), ..
-        } => {
-            // Mirror exec: the register takes the operand's value mod 512,
-            // which resolves when the word is a known constant (e.g. a
-            // patched copy variable).
-            st.ar[*k as usize] = match st.const_of(op) {
-                Some(v) => ArVal::Const(v.rem_euclid(DATA_WORDS as i64) as u16),
-                None => ArVal::Unknown,
-            };
-        }
-        Instr::Adar { k, delta } => {
-            if let ArVal::Const(c) = st.ar[*k as usize] {
+        } => match st.const_of(op) {
+            Some(v) => (k, ArVal::Const(v.rem_euclid(DATA_WORDS as i64) as u16)),
+            None => (k, ArVal::Unknown),
+        },
+        Instr::Adar { k, delta } => match st.ar_val(*k) {
+            ArVal::Const(c) => {
                 let v = (c as i32 + *delta as i32).rem_euclid(DATA_WORDS as i32);
-                st.ar[*k as usize] = ArVal::Const(v as u16);
+                (k, ArVal::Const(v as u16))
             }
-        }
-        _ => {}
+            ArVal::Unknown => (k, ArVal::Unknown),
+        },
+        _ => return,
+    };
+    // A register past the file holds nothing.
+    if let Some(slot) = st.ar.get_mut(*k as usize) {
+        *slot = v;
     }
 }
 

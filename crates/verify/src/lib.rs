@@ -32,7 +32,8 @@
 //! Every schedule-level analysis runs as an [`EpochPass`] on one
 //! checker walk ([`walk_schedule`], [`walk`]): the verdicts
 //! ([`Verdicts`]), the footprint ([`FootprintPass`]), the WCET bound
-//! ([`BoundPass`]), the activity certificate, and `cgra-lint`'s lint
+//! ([`BoundPass`]), the activity certificate ([`ActivityPass`], which
+//! extends the WCET pass), and `cgra-lint`'s lint
 //! and hoist-window passes. Run alone, each is its public entry point;
 //! run together, they share the walk.
 //!
@@ -78,7 +79,7 @@ pub mod work;
 
 pub use activity::{
     analyze_activity, verify_activity, ActivityAnalysis, ActivityCertificate, ActivityInterval,
-    EpochActivity, IndependenceClass, TileActivity,
+    ActivityPass, EpochActivity, IndependenceClass, TileActivity,
 };
 pub use capacity::check_data_budget;
 pub use cfg::Cfg;

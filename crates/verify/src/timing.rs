@@ -42,7 +42,9 @@ use crate::program::{DmemInit, VerifyOptions};
 use crate::schedule::{EpochAnalysis, EpochSpec};
 use crate::walk::{walk_schedule, EpochPass};
 use cgra_fabric::cost::TransitionBreakdown;
-use cgra_fabric::{CostModel, Mesh, RawInstr, ReconfigPlan, TileReconfig, Word, DATA_WORDS};
+use cgra_fabric::{
+    CostModel, Mesh, RawInstr, ReconfigPlan, TileId, TileReconfig, Word, DATA_WORDS,
+};
 use cgra_isa::{encode_program, Instr, Operand, NUM_AR};
 use std::collections::HashMap;
 
@@ -156,12 +158,19 @@ enum ExecOutcome {
     Undecided,
 }
 
+/// Address register `k`'s known value. A register past the file is
+/// read as unknown: the verifier rejects such a program (V001), and
+/// unknown is the sound answer for the analyses that bound it anyway.
+fn ar_value(ar: &[Option<u16>; NUM_AR], k: u8) -> Option<u16> {
+    ar.get(k as usize).copied().flatten()
+}
+
 fn exec_read(mem: &[Option<Word>], ar: &[Option<u16>; NUM_AR], o: &Operand) -> Option<Word> {
     match o {
         Operand::Imm(v) => Some(Word::wrap(*v as i64)),
         Operand::Dir(a) => mem[*a as usize % DATA_WORDS],
         Operand::Ind { ar: k, disp } => {
-            let base = ar[*k as usize]?;
+            let base = ar_value(ar, *k)?;
             mem[(base as usize + *disp as usize) % DATA_WORDS]
         }
         Operand::Rem { .. } => None,
@@ -177,7 +186,7 @@ fn exec_write(
 ) {
     match dst {
         Operand::Dir(a) => mem[*a as usize % DATA_WORDS] = v,
-        Operand::Ind { ar: k, disp } => match ar[*k as usize] {
+        Operand::Ind { ar: k, disp } => match ar_value(ar, *k) {
             Some(base) => mem[(base as usize + *disp as usize) % DATA_WORDS] = v,
             // A store through an unknown register may have hit any word.
             None => mem.fill(None),
@@ -321,18 +330,23 @@ fn exec_exact(prog: &[Instr], opts: &VerifyOptions) -> ExecOutcome {
                 }
             }
             Instr::Ldar { k, src, imm } => {
-                ar[*k as usize] = match src {
+                let v = match src {
                     Some(s) => exec_read(&mem, &ar, s)
                         .map(|w| (w.value().rem_euclid(DATA_WORDS as i64)) as u16),
                     None => Some(imm % DATA_WORDS as u16),
                 };
+                if let Some(slot) = ar.get_mut(*k as usize) {
+                    *slot = v;
+                }
             }
             Instr::Adar { k, delta } => {
-                ar[*k as usize] = ar[*k as usize]
-                    .map(|c| (c as i32 + *delta as i32).rem_euclid(DATA_WORDS as i32) as u16);
+                if let Some(slot) = ar.get_mut(*k as usize) {
+                    *slot = slot
+                        .map(|c| (c as i32 + *delta as i32).rem_euclid(DATA_WORDS as i32) as u16);
+                }
             }
             Instr::Movar { dst, k } => {
-                let v = ar[*k as usize].map(|c| Word::wrap(c as i64));
+                let v = ar_value(&ar, *k).map(|c| Word::wrap(c as i64));
                 exec_write(&mut mem, &ar, &mut remote, dst, v);
             }
         }
@@ -1260,9 +1274,21 @@ pub fn bound_schedule_with(
 /// [`crate::Work::WcetBound`].
 #[derive(Debug)]
 pub struct BoundPass {
-    mesh: Mesh,
+    pub(crate) mesh: Mesh,
     prev_links: cgra_fabric::LinkConfig,
     out: ScheduleBound,
+}
+
+/// [`BoundPass`]'s pricing of one epoch, as the activity pass builds
+/// its proofs on it: the switch charge and its stall head, the tiles
+/// the switch stalls (ascending), the compute phase, and each
+/// programmed tile's cycle bound and exactness in walk order.
+pub(crate) struct EpochPricing {
+    pub(crate) reconfig_ns: f64,
+    pub(crate) stall_cycles: u64,
+    pub(crate) stalled: Vec<TileId>,
+    pub(crate) compute: CycleInterval,
+    pub(crate) tiles: Vec<(TileId, CycleInterval, bool)>,
 }
 
 impl BoundPass {
@@ -1287,16 +1313,16 @@ impl BoundPass {
         self.out.epochs.shrink_to_fit();
         self.out
     }
-}
 
-impl EpochPass for BoundPass {
-    fn epoch(
+    /// Bounds epoch `ei` — pushes its [`EpochBound`] and findings — and
+    /// returns the pricing behind it.
+    pub(crate) fn price(
         &mut self,
         ei: usize,
         e: &EpochSpec,
         analysis: &EpochAnalysis,
         cache: &mut BoundCache,
-    ) {
+    ) -> EpochPricing {
         let (mesh, cost) = (self.mesh, self.out.cost);
         self.out.diags.extend(analysis.diags.iter().cloned());
 
@@ -1319,6 +1345,7 @@ impl EpochPass for BoundPass {
 
         let mut compute = CycleInterval::exact(0);
         let mut copied = CycleInterval::exact(0);
+        let mut tiles = Vec::with_capacity(analysis.tiles.len());
         for ta in &analysis.tiles {
             let pb = cache.bound(ta.prog, &ta.opts);
             self.out.diags.extend(
@@ -1328,6 +1355,7 @@ impl EpochPass for BoundPass {
             );
             compute = compute.parallel_max(pb.cycles);
             copied = copied + pb.remote_words;
+            tiles.push((ta.tile, pb.cycles, pb.exact));
         }
         self.out.epochs.push(EpochBound {
             name: e.name.to_string(),
@@ -1338,6 +1366,27 @@ impl EpochPass for BoundPass {
             compute,
             copied_words: copied,
         });
+        let mut stalled = plan.stalled_tiles();
+        stalled.sort_unstable();
+        EpochPricing {
+            reconfig_ns,
+            stall_cycles,
+            stalled,
+            compute,
+            tiles,
+        }
+    }
+}
+
+impl EpochPass for BoundPass {
+    fn epoch(
+        &mut self,
+        ei: usize,
+        e: &EpochSpec,
+        analysis: &EpochAnalysis,
+        cache: &mut BoundCache,
+    ) {
+        self.price(ei, e, analysis, cache);
     }
 }
 

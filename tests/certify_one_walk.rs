@@ -1,14 +1,16 @@
 //! One schedule walk per certified schedule.
 //!
-//! `CertifiedSchedule::certify` builds its four proofs — verifier
-//! verdicts, lint report, footprint certificate, WCET bound — as passes
-//! on a single checker walk. Each proof must equal its analysis run
-//! alone through the public single-pass entry point, on every example
-//! schedule and every fft-1024 sweep shape, at the default and the
-//! deny-warnings lint levels; a schedule the verifier rejects must be
-//! refused with exactly the verifier's findings. The walk counters pin
-//! the saving: one walk and two program analyses per loaded slot for a
-//! cold certify.
+//! `CertifiedSchedule::certify` builds its five proofs — verifier
+//! verdicts, lint report, footprint certificate, WCET bound, activity
+//! certificate — as passes on a single checker walk. Each proof must
+//! equal its analysis run alone through the public single-pass entry
+//! point, on every example schedule and every fft-1024 sweep shape, at
+//! the default and the deny-warnings lint levels (the activity
+//! certificate at two link costs); a schedule the verifier rejects must
+//! be refused with exactly the verifier's findings. The walk counters
+//! pin the saving: one walk and two program analyses per loaded slot
+//! for a cold certify, and for a cold event-driven run, which is a
+//! certify and a run under the certificate.
 
 use remorph::explore::{
     build_example_schedule, compose_certified, example_probe_input, fft_column_schedule, Scheme,
@@ -20,9 +22,13 @@ use remorph::kernels::fft::partition::FftPlan;
 use remorph::lint::LintLevels;
 use remorph::serve::{admit_schedule, AdmitLimits, SubmitRequest};
 use remorph::sim::{
-    bound_epochs, epoch_spec, lint_epochs, verify_epochs, CertifiedSchedule, Epoch, TileSetup,
+    bound_epochs, epoch_spec, lint_epochs, verify_epochs, ArraySim, CertifiedSchedule, Epoch,
+    EpochRunner, EventOptions, ProgramCache, SimError, TileSetup, VerifyMode,
 };
-use remorph::verify::{analyze_footprint, has_errors, work, EpochSpec, WalkCounts};
+use remorph::verify::{
+    analyze_activity, analyze_footprint, has_errors, verify_activity, work, Code, EpochSpec,
+    WalkCounts,
+};
 
 fn level_sets() -> [(&'static str, LintLevels); 2] {
     [
@@ -301,4 +307,182 @@ fn a_cold_hoisted_pack_walks_seven_times() {
         7,
         "3 certify walks + 3 hoist plans + 1 merged-containment footprint"
     );
+}
+
+/// Certifies `epochs` under `cost` and checks the activity certificate
+/// against `analyze_activity` run alone, and against `verify_activity`.
+fn assert_activity_matches(name: &str, mesh: Mesh, epochs: &[Epoch], cost: &CostModel) {
+    let c = CertifiedSchedule::certify(mesh, epochs.to_vec(), cost, &LintLevels::default())
+        .unwrap_or_else(|d| panic!("{name}: refused: {d:?}"));
+    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+    assert_eq!(
+        c.activity(),
+        &analyze_activity(mesh, cost, &specs).cert,
+        "{name}: activity certificate"
+    );
+    assert_eq!(
+        verify_activity(mesh, cost, &specs, c.activity()),
+        vec![],
+        "{name}: the certified activity certificate re-verifies"
+    );
+}
+
+#[test]
+fn certified_activity_matches_analyze_activity() {
+    let mut schedules: Vec<(String, Mesh, Vec<Epoch>)> = EXAMPLE_SCHEDULES
+        .iter()
+        .map(|name| {
+            let (mesh, epochs) = build_example_schedule(name).expect("example builds");
+            (name.to_string(), mesh, epochs)
+        })
+        .collect();
+    schedules.extend(fft1024_shapes(|m| m >= 32));
+    for (name, mesh, epochs) in &schedules {
+        for link_ns in [0.0, 150.0] {
+            let cost = CostModel::with_link_cost(link_ns);
+            assert_activity_matches(&format!("{name} (L = {link_ns} ns)"), *mesh, epochs, &cost);
+        }
+    }
+}
+
+/// A cold event-driven run is one certify and a run under its
+/// certificate: one schedule walk, and exactly certify's program
+/// analyses — plus, when the runner verifies, one per distinct program
+/// image its switches verify.
+#[test]
+fn a_cold_event_driven_run_walks_each_schedule_once() {
+    let cost = CostModel::default();
+    for name in EXAMPLE_SCHEDULES {
+        let (mesh, epochs) = build_example_schedule(name).expect("example builds");
+        let slots = loaded_slots(mesh, &epochs);
+        for mode in [VerifyMode::Off, VerifyMode::Strict] {
+            let mut sim = ArraySim::new(mesh);
+            sim.verify = mode;
+            let mut runner = EpochRunner::new(sim, cost);
+            let mut progs = ProgramCache::new();
+            let before = work::walk_snapshot();
+            runner
+                .run_schedule_event_driven(&epochs, &mut progs, &EventOptions::default())
+                .expect("examples run");
+            let images = match mode {
+                VerifyMode::Off => 0,
+                _ => progs.len() as u64,
+            };
+            assert_eq!(
+                work::walk_snapshot().since(&before),
+                WalkCounts {
+                    schedule_walks: 1,
+                    program_analyses: 2 * slots + images,
+                },
+                "{name} ({mode:?})"
+            );
+            assert!(
+                !runner
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.code == Code::CertificateRefused),
+                "{name} ({mode:?}): the certificate was refused"
+            );
+        }
+    }
+}
+
+/// A program addressing memory through an address register past the
+/// register file: every instruction kind that names one.
+fn out_of_range_ar_schedule() -> (Mesh, Vec<Epoch>) {
+    let mesh = Mesh::new(1, 2);
+    let ind = |disp| Operand::Ind { ar: 9, disp };
+    let program = vec![
+        Instr::Ldar {
+            k: 9,
+            src: None,
+            imm: 3,
+        },
+        Instr::Adar { k: 9, delta: 1 },
+        Instr::Movar {
+            dst: Operand::Dir(1),
+            k: 9,
+        },
+        Instr::Mov {
+            dst: ind(0),
+            a: ind(1),
+        },
+        // A branch on a word nothing wrote: no single feasible path, so
+        // the WCET engine falls back to its structural bound.
+        Instr::Bz {
+            a: Operand::Dir(100),
+            target: 5,
+        },
+        Instr::Halt,
+    ];
+    let epoch = Epoch {
+        name: "bad ar".into(),
+        links: mesh.disconnected(),
+        setups: vec![(
+            0,
+            TileSetup {
+                program: Some(program),
+                data_patches: vec![],
+            },
+        )],
+        budget: 1_000,
+    };
+    (mesh, vec![epoch])
+}
+
+/// An out-of-range address register is the verifier's finding (V001),
+/// never a panic: the three analyses that bound programs read the
+/// register as unknown, and the event-driven entry point, with no
+/// certificate to run under, ends exactly as the serial engine does
+/// (refused under `Strict`; unverified under `Off`, whatever the
+/// engine makes of the program).
+#[test]
+fn an_out_of_range_address_register_is_reported_not_a_panic() {
+    let (mesh, epochs) = out_of_range_ar_schedule();
+    let cost = CostModel::default();
+    let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
+    let invalid = |diags: &[remorph::verify::Diagnostic]| {
+        diags
+            .iter()
+            .any(|d| d.code == Code::InvalidInstr && d.is_error())
+    };
+    assert!(
+        invalid(&verify_epochs(mesh, &epochs)),
+        "the verifier refuses it"
+    );
+    assert!(
+        invalid(&bound_epochs(mesh, &cost, &epochs).diags),
+        "the bound carries the verifier's finding"
+    );
+    let activity = analyze_activity(mesh, &cost, &specs);
+    assert_eq!(activity.cert.epochs.len(), 1);
+    let footprint = analyze_footprint(mesh, &specs);
+    assert_eq!(footprint.cert.epochs, 1);
+    assert!(
+        CertifiedSchedule::certify(mesh, epochs.clone(), &cost, &LintLevels::default()).is_err(),
+        "never certified"
+    );
+
+    for mode in [VerifyMode::Off, VerifyMode::Strict] {
+        let mut sim = ArraySim::new(mesh);
+        sim.verify = mode;
+        let mut event = EpochRunner::new(sim, cost);
+        let got = event.run_schedule_event_driven(
+            &epochs,
+            &mut ProgramCache::new(),
+            &EventOptions::default(),
+        );
+        let mut sim = ArraySim::new(mesh);
+        sim.verify = mode;
+        let mut serial = EpochRunner::new(sim, cost);
+        let want = serial.run_schedule(&epochs);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{mode:?}");
+        assert_eq!(event.sim.now, serial.sim.now, "{mode:?}");
+        if mode == VerifyMode::Strict {
+            match got {
+                Err(SimError::Verify(errs)) => assert!(invalid(&errs), "want V001, got {errs:?}"),
+                other => panic!("Strict: want the verifier's refusal, got {other:?}"),
+            }
+        }
+    }
 }
