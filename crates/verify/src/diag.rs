@@ -299,7 +299,7 @@ impl Code {
             Code::DeadlineRisk => "an epoch's static cycle bound reaches its budget",
             Code::ActivityInterval => "a tile's provably-inactive cycle interval within an epoch",
             Code::IndependenceClass => "tiles partitioned into classes that exchange no words",
-            Code::CertificateRefused => "an activity certificate failed re-verification",
+            Code::CertificateRefused => "an activity certificate failed re-verification or does not cover the runner's state",
             Code::Footprint => {
                 "a schedule's proven fabric footprint (tiles, links, memory, shadow slots)"
             }
